@@ -12,7 +12,7 @@ from risbeam import (
     ModulationWaveform,
     ReflectionPair,
     fourier_coefficient,
-    fourier_coefficient_numeric,
+    fourier_coefficients_numeric,
 )
 
 Z_ANTENNA = 46.85 - 0.8j
@@ -23,9 +23,10 @@ F0 = 313.0
 
 def spectrum_table(waveform, harmonics):
     print(f"  m   |c_m| (closed)   |c_m| (quadrature)   phase deg")
+    numeric_all = fourier_coefficients_numeric(waveform, harmonics, steps=200_000)
     for m in harmonics:
         closed = fourier_coefficient(waveform, m)
-        numeric = fourier_coefficient_numeric(waveform, m, steps=200_000)
+        numeric = numeric_all[m]
         print(
             f"{m:+3d}   {abs(closed):14.10f}   {abs(numeric):18.10f}   {np.degrees(np.angle(closed)):+9.3f}"
         )

@@ -26,7 +26,6 @@ from .compare import (
 from .farfield import (
     ArrayGeometry,
     ElementPatternModel,
-    Excitation,
     HarmonicPattern,
     default_q_exponent,
     dominance_direction,
@@ -40,7 +39,6 @@ from .modulation import (
     ModulationWaveform,
     delay_from_phase,
     fourier_coefficient,
-    fourier_coefficient_numeric,
     fourier_coefficients_numeric,
     phase_from_delay,
     reconstruct_gamma,

@@ -1,29 +1,54 @@
 """Command-line front end: gamma, coeffs, pattern, steer, schedule, compare, table2.
 
-Configuration is JSON (see README).  Outputs are deterministic: export
-headers carry a hash of the effective configuration instead of timestamps.
+Configuration is JSON (see README); CONFIG_KEYS lists every key.  Outputs are
+deterministic: export headers carry a hash of the configuration file instead
+of timestamps.
 Exit codes: 0 success, 2 validation error, 3 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import circuit, compare as compare_mod, farfield, modulation, schedule as schedule_mod, steering
 
-# Reference operating point of the 1x4 demonstrator (2.45 GHz, 313 Hz baseband).
-DEFAULT_F_C_HZ = 2.45e9
-DEFAULT_F0_HZ = 313.0
-DEFAULT_Z_ANTENNA = (46.85, -0.8)
-DEFAULT_Z_LOAD_ON = (2.99, 4.02)
-DEFAULT_Z_LOAD_OFF = (96.27, -508.72)
 PHASE_BAND_CENTER_DEG = 180.0
 PHASE_BAND_HALF_WIDTH_DEG = 12.0
+
+# Every config key: dotted name (section.key) -> (type, default).  Defaults
+# are the reference operating point of the 1x4 demonstrator (2.45 GHz
+# carrier, 313 Hz baseband).  A None default is derived from other keys
+# (lambda_c_m, dx_m, dy_m) or means the key is unset (impedance_table).
+CONFIG_KEYS = {
+    "geometry.f_c_hz": (float, 2.45e9),
+    "geometry.lambda_c_m": (float, None),
+    "geometry.n_cols": (int, 4),
+    "geometry.m_rows": (int, 1),
+    "geometry.dx_m": (float, None),
+    "geometry.dy_m": (float, None),
+    "element_model.kind": (str, "isotropic"),
+    "element_model.q_exponent": (float, farfield.default_q_exponent()),
+    "waveform.impedance_table": (str, None),
+    "waveform.frequency_hz": (float, 2.45e9),
+    "waveform.z_antenna": (complex, complex(46.85, -0.8)),
+    "waveform.z_load_on": (complex, complex(2.99, 4.02)),
+    "waveform.z_load_off": (complex, complex(96.27, -508.72)),
+    "waveform.gamma_on": (complex, complex(1.0, 0.0)),
+    "waveform.gamma_off": (complex, complex(-1.0, 0.0)),
+    "waveform.f0_hz": (float, 313.0),
+    "waveform.duty": (float, 0.5),
+    "grid_step_deg": (float, 1.0),
+}
+_SECTIONS = {key.split(".")[0] for key in CONFIG_KEYS if "." in key}
+_TYPE_NAMES = {float: "a finite number", int: "an integer", str: "a string",
+               complex: "a [re, im] pair of finite numbers"}
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -34,22 +59,58 @@ class ConfigError(ValueError):
     pass
 
 
-def _as_complex(value, name):
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise ConfigError(f"{name} must be a [re, im] pair, got {value!r}")
+def _is_number(value) -> bool:
+    # bool is not a number here; the bound rejects nan, inf and ints too large for a float
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
-def load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
+def _typed(key: str, value):
+    if key not in CONFIG_KEYS:
+        raise ConfigError(f"unknown config key {key}")
+    kind = CONFIG_KEYS[key][0]
+    if kind is complex:
+        ok = isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
+    elif kind is float:
+        ok = _is_number(value)
+    else:
+        ok = type(value) is kind
+    if not ok:
+        raise ConfigError(f"config key {key} must be {_TYPE_NAMES[kind]}, got {json.dumps(value)}")
+    return complex(*map(float, value)) if kind is complex else kind(value)
+
+
+class Config(dict):
+    """Typed values of the keys a config file sets, by dotted key.
+
+    cfg[key] falls back to the CONFIG_KEYS default; `hash` identifies the
+    file as loaded.
+    """
+
+    def __missing__(self, key):
+        return CONFIG_KEYS[key][1]
+
+
+def load_config(path: str | None) -> Config:
+    """Read a JSON config and check every key against CONFIG_KEYS."""
+    raw = {}
+    if path is not None:
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                raw = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"config {path}: {exc}") from exc
+    if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
+    items = []
+    for name, body in raw.items():
+        if name not in _SECTIONS:
+            items.append((name, body))
+        elif isinstance(body, dict):
+            items += [(f"{name}.{key}", value) for key, value in body.items()]
+        else:
+            raise ConfigError(f"config key {name} must be a JSON object, got {json.dumps(body)}")
+    cfg = Config((key, _typed(key, value)) for key, value in items)
+    cfg.hash = config_hash(raw)
     return cfg
 
 
@@ -58,114 +119,112 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-def build_geometry(cfg: dict) -> farfield.ArrayGeometry:
-    g = cfg.get("geometry", {})
-    f_c = float(g.get("f_c_hz", DEFAULT_F_C_HZ))
-    lam = float(g.get("lambda_c_m", farfield.SPEED_OF_LIGHT / f_c))
-    return farfield.ArrayGeometry(
-        n_cols=int(g.get("n_cols", 4)),
-        m_rows=int(g.get("m_rows", 1)),
-        dx=float(g.get("dx_m", lam / 2.0)),
-        dy=float(g.get("dy_m", lam / 2.0)),
-        lambda_c=lam,
-    )
+@contextlib.contextmanager
+def _naming(*fields):
+    """Re-raise a library range error prefixed with the inputs it came from."""
+    try:
+        yield
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"{' / '.join(fields)}: {exc}") from exc
 
 
-def build_element_model(cfg: dict) -> farfield.ElementPatternModel:
-    e = cfg.get("element_model", {})
-    kind = e.get("kind", "isotropic")
+def _flag_or_config(value, flag: str, cfg: Config, key: str):
+    """(value, flag) when the flag is given, else (config value, key)."""
+    return (value, flag) if value is not None else (cfg[key], key)
+
+
+def build_geometry(cfg: Config) -> farfield.ArrayGeometry:
+    with _naming("geometry.f_c_hz"):
+        lam = cfg.get("geometry.lambda_c_m", farfield.SPEED_OF_LIGHT / cfg["geometry.f_c_hz"])
+    with _naming("geometry"):
+        return farfield.ArrayGeometry(
+            n_cols=cfg["geometry.n_cols"],
+            m_rows=cfg["geometry.m_rows"],
+            dx=cfg.get("geometry.dx_m", lam / 2.0),
+            dy=cfg.get("geometry.dy_m", lam / 2.0),
+            lambda_c=lam,
+        )
+
+
+def build_element_model(cfg: Config) -> farfield.ElementPatternModel:
+    kind = cfg["element_model.kind"]
     if kind == "isotropic":
         return farfield.ElementPatternModel.isotropic()
-    return farfield.ElementPatternModel(
-        kind=kind,
-        q_exponent=float(e.get("q_exponent", farfield.default_q_exponent())),
-        peak_gain_dbi=float(e.get("peak_gain_dbi", 1.75)),
-    )
+    return farfield.ElementPatternModel(kind=kind, q_exponent=cfg["element_model.q_exponent"])
 
 
-def resolve_impedances(cfg: dict):
+def resolve_impedances(cfg: Config) -> circuit.ImpedancePoint:
     """Impedance point from the config: explicit values or a table lookup."""
-    w = cfg.get("waveform", {})
-    has_table = "impedance_table" in w
-    has_explicit = any(k in w for k in ("z_antenna", "z_load_on", "z_load_off"))
-    if has_table and has_explicit:
+    has_table = "waveform.impedance_table" in cfg
+    if has_table and any(f"waveform.{k}" in cfg for k in ("z_antenna", "z_load_on", "z_load_off")):
         raise ConfigError("give either explicit impedances or an impedance table, not both")
     if has_table:
-        table = circuit.load_impedance_table(w["impedance_table"])
-        if "frequency_hz" not in w:
-            raise ConfigError("impedance_table requires frequency_hz")
-        return table.lookup(float(w["frequency_hz"]))
+        table = circuit.load_impedance_table(cfg["waveform.impedance_table"])
+        if "waveform.frequency_hz" not in cfg:
+            raise ConfigError("waveform.impedance_table requires waveform.frequency_hz")
+        return table.lookup(cfg["waveform.frequency_hz"])
     return circuit.ImpedancePoint(
-        frequency=float(w.get("frequency_hz", DEFAULT_F_C_HZ)),
-        z_antenna=_as_complex(w.get("z_antenna", DEFAULT_Z_ANTENNA), "z_antenna"),
-        z_load_on=_as_complex(w.get("z_load_on", DEFAULT_Z_LOAD_ON), "z_load_on"),
-        z_load_off=_as_complex(w.get("z_load_off", DEFAULT_Z_LOAD_OFF), "z_load_off"),
+        frequency=cfg["waveform.frequency_hz"],
+        z_antenna=cfg["waveform.z_antenna"],
+        z_load_on=cfg["waveform.z_load_on"],
+        z_load_off=cfg["waveform.z_load_off"],
     )
 
 
-def build_waveform(cfg: dict) -> modulation.ModulationWaveform:
-    w = cfg.get("waveform", {})
-    has_pair = "gamma_on" in w or "gamma_off" in w
-    has_table = "impedance_table" in w
-    if has_pair and has_table:
-        raise ConfigError("give either an explicit gamma pair or an impedance table, not both")
-    if has_pair:
-        pair = circuit.ReflectionPair(
-            _as_complex(w.get("gamma_on", (1.0, 0.0)), "gamma_on"),
-            _as_complex(w.get("gamma_off", (-1.0, 0.0)), "gamma_off"),
-        )
+def build_waveform(cfg: Config) -> modulation.ModulationWaveform:
+    if "waveform.gamma_on" in cfg or "waveform.gamma_off" in cfg:
+        if "waveform.impedance_table" in cfg:
+            raise ConfigError("give either an explicit gamma pair or an impedance table, not both")
+        pair = circuit.ReflectionPair(cfg["waveform.gamma_on"], cfg["waveform.gamma_off"])
     else:
         pair = resolve_impedances(cfg).reflection_pair()
-    f0 = float(w.get("f0_hz", DEFAULT_F0_HZ))
-    duty = float(w.get("duty", 0.5))
-    return modulation.ModulationWaveform(pair=pair, f0=f0, tau=0.0, t_pw=duty / f0)
+    f0 = cfg["waveform.f0_hz"]
+    with _naming("waveform.f0_hz", "waveform.duty"):
+        return modulation.ModulationWaveform(
+            pair=pair, f0=f0, tau=0.0, t_pw=cfg["waveform.duty"] / f0
+        )
 
 
-def _parse_profile_arg(args, cfg) -> steering.PhaseProfile:
+def _read_phases(text: str, field: str) -> list:
+    """Comma-separated phases in degrees; errors name the field they came from."""
+    try:
+        phases = [float(tok) for tok in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"{field}: {exc}") from exc
+    if not np.all(np.isfinite(phases)):
+        raise ConfigError(f"{field}: phases must be finite, got {text!r}")
+    return phases
+
+
+def _parse_profile_arg(args) -> steering.PhaseProfile:
     if args.profile is not None and args.table2_row is not None:
         raise ConfigError("give --profile or --table2-row, not both")
-    resolution = float(getattr(args, "resolution", 1.0) or 1.0)
+    farfield.steps_per_turn(args.resolution, "--resolution")
     if args.table2_row is not None:
         catalog = steering.steering_catalog()
         if not 1 <= args.table2_row <= len(catalog):
             raise ConfigError(f"--table2-row must be in 1..{len(catalog)}")
         return steering.PhaseProfile(
-            tuple(float(p) for p in catalog[args.table2_row - 1].psi_deg), resolution
+            tuple(float(p) for p in catalog[args.table2_row - 1].psi_deg), args.resolution
         )
     if args.profile is None:
         raise ConfigError("a profile is required (--profile or --table2-row)")
-    try:
-        raw = [float(tok) for tok in args.profile.split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"--profile: {exc}") from exc
-    return steering.quantize_profile(raw, resolution)
+    return steering.quantize_profile(_read_phases(args.profile, "--profile"), args.resolution)
 
 
-def _parse_harmonic(text: str) -> int:
-    try:
-        m = int(text)
-    except ValueError as exc:
-        raise ConfigError(f"--harmonic must be an integer, got {text!r}") from exc
-    return m
+def _lines(rows) -> str:
+    return "\n".join(rows) + "\n"
 
 
-def _emit(text: str, out_path: str | None):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+# Each cmd_* returns (doc, text): the structured document and the csv/text
+# form of the same result; main writes the one --format selects.
 
 
-def _emit_doc(doc: dict, out_path: str | None):
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", out_path)
-
-
-def cmd_gamma(args, cfg) -> int:
+def cmd_gamma(args, cfg):
     point = resolve_impedances(cfg)
     pair = point.reflection_pair()
     doc = {
-        "config_hash": config_hash(cfg),
+        "config_hash": cfg.hash,
         "frequency_hz": point.frequency,
         "gamma_on": [pair.gamma_on.real, pair.gamma_on.imag],
         "gamma_off": [pair.gamma_off.real, pair.gamma_off.imag],
@@ -181,8 +240,8 @@ def cmd_gamma(args, cfg) -> int:
         metrics = circuit.modulation_metrics(pair)
     except ValueError:
         # a zero-magnitude state has no phase; losses are unbounded
-        metrics = None
-    if metrics is not None:
+        doc["phase_band_status"] = "UNDEFINED"
+    else:
         in_band = (
             abs(metrics.phase_separation_deg - PHASE_BAND_CENTER_DEG)
             <= PHASE_BAND_HALF_WIDTH_DEG
@@ -196,82 +255,56 @@ def cmd_gamma(args, cfg) -> int:
                 "phase_band_status": "PASS" if in_band else "FAIL",
             }
         )
-    else:
-        doc["phase_band_status"] = "UNDEFINED"
     if doc["differential_magnitude"] < 1e-9:
         doc["warning"] = "no modulation contrast (identical reflection states)"
         print("warning: no modulation contrast", file=sys.stderr)
-    if args.format == "doc":
-        _emit_doc(doc, args.out)
-    else:
-        lines = [f"{k}={v}" for k, v in doc.items()]
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return doc, _lines(f"{k}={v}" for k, v in doc.items())
 
 
-def cmd_coeffs(args, cfg) -> int:
+def cmd_coeffs(args, cfg):
+    if args.max_harmonic < 0:
+        raise ConfigError(f"--max-harmonic must be >= 0, got {args.max_harmonic}")
     waveform = build_waveform(cfg)
     if args.phase is not None:
-        waveform = modulation.ModulationWaveform(
-            pair=waveform.pair,
-            f0=waveform.f0,
-            tau=farfield.element_delay(args.phase, waveform.f0),
-            t_pw=waveform.t_pw,
-        )
+        with _naming("--phase"):
+            waveform = replace(waveform, tau=farfield.element_delay(args.phase, waveform.f0))
     rows = []
     for m in range(-args.max_harmonic, args.max_harmonic + 1):
         c = modulation.fourier_coefficient(waveform, m)
         rows.append((m, c))
-    if args.format == "doc":
-        _emit_doc(
-            {
-                "config_hash": config_hash(cfg),
-                "f0_hz": waveform.f0,
-                "duty": waveform.duty,
-                "coefficients": [
-                    {"m": m, "re": c.real, "im": c.imag, "magnitude": abs(c)}
-                    for m, c in rows
-                ],
-            },
-            args.out,
-        )
-    else:
-        lines = [f"#config_hash={config_hash(cfg)}", "m,re,im,magnitude"]
-        lines += [f"{m},{c.real:.12g},{c.imag:.12g},{abs(c):.12g}" for m, c in rows]
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    doc = {
+        "config_hash": cfg.hash,
+        "f0_hz": waveform.f0,
+        "duty": waveform.duty,
+        "coefficients": [
+            {"m": m, "re": c.real, "im": c.imag, "magnitude": abs(c)} for m, c in rows
+        ],
+    }
+    lines = [f"#config_hash={cfg.hash}", "m,re,im,magnitude"]
+    lines += [f"{m},{c.real:.12g},{c.imag:.12g},{abs(c):.12g}" for m, c in rows]
+    return doc, _lines(lines)
 
 
-def cmd_pattern(args, cfg) -> int:
+def cmd_pattern(args, cfg):
     geometry = build_geometry(cfg)
     model = build_element_model(cfg)
     waveform = build_waveform(cfg)
-    profile = _parse_profile_arg(args, cfg)
-    m = _parse_harmonic(args.harmonic)
-    step = float(args.grid_step or cfg.get("grid_step_deg", 1.0))
+    profile = _parse_profile_arg(args)
+    step, step_field = _flag_or_config(args.grid_step, "--grid-step", cfg, "grid_step_deg")
+    farfield.steps_per_turn(step, step_field)
+    sweep_args = (geometry, model, profile, waveform, args.harmonic, step)
     try:
-        pattern = farfield.pattern_sweep(
-            geometry, model, profile, waveform, m, grid_step_deg=step,
-            normalization=args.normalization,
-        )
+        pattern = farfield.pattern_sweep(*sweep_args, normalization=args.normalization)
         zero_pattern = False
     except ValueError as exc:
         if "all-zero" not in str(exc):
             raise
-        raw = farfield.pattern_sweep(
-            geometry, model, profile, waveform, m, grid_step_deg=step,
-            normalization="raw",
-        )
-        # flush numerical-zero noise so the export reads as -inf dB rows
-        pattern = farfield.HarmonicPattern(
-            m=raw.m,
-            azimuth_deg=raw.azimuth_deg,
-            magnitude=np.where(raw.magnitude < farfield.ZERO_PATTERN_TOL, 0.0, raw.magnitude),
-            normalization="raw",
-        )
+        # every sample is numerical-zero noise: export exact zeros (-inf dB rows)
+        raw = farfield.pattern_sweep(*sweep_args, normalization="raw")
+        pattern = replace(raw, magnitude=np.zeros_like(raw.magnitude))
         zero_pattern = True
     meta = {
-        "config_hash": config_hash(cfg),
+        "config_hash": cfg.hash,
         "geometry": f"{geometry.n_cols}x{geometry.m_rows}",
         "dx_m": f"{geometry.dx:.10g}",
         "dy_m": f"{geometry.dy:.10g}",
@@ -282,23 +315,20 @@ def cmd_pattern(args, cfg) -> int:
     }
     if zero_pattern:
         meta["zero_pattern"] = "true (harmonic carries no power for this waveform)"
-        print(f"warning: harmonic {m} pattern is identically zero", file=sys.stderr)
-    if args.format == "doc":
-        _emit_doc(farfield.pattern_doc(pattern, meta), args.out)
-    else:
-        _emit(farfield.pattern_csv(pattern, meta), args.out)
-    return EXIT_OK
+        print(f"warning: harmonic {args.harmonic} pattern is identically zero", file=sys.stderr)
+    return farfield.pattern_doc(pattern, meta), farfield.pattern_csv(pattern, meta)
 
 
-def cmd_steer(args, cfg) -> int:
+def cmd_steer(args, cfg):
     geometry = build_geometry(cfg)
-    m = _parse_harmonic(args.harmonic)
-    req = steering.SteeringRequest(
-        desired_azimuth_deg=float(args.target),
-        harmonic=m,
-        geometry=geometry,
-        resolution_deg=float(args.resolution),
-    )
+    farfield.steps_per_turn(args.resolution, "--resolution")
+    with _naming("--target"):
+        req = steering.SteeringRequest(
+            desired_azimuth_deg=args.target,
+            harmonic=args.harmonic,
+            geometry=geometry,
+            resolution_deg=args.resolution,
+        )
     if args.method == "search":
         result = steering.optimize_profile_search(
             req, build_waveform(cfg), build_element_model(cfg)
@@ -308,167 +338,164 @@ def cmd_steer(args, cfg) -> int:
     else:
         profile = steering.progressive_phase_profile(req)
         extra = {}
-    doc = steering.profile_doc(profile, harmonic=m, desired_azimuth_deg=float(args.target))
-    doc["config_hash"] = config_hash(cfg)
+    doc = steering.profile_doc(profile, harmonic=args.harmonic, desired_azimuth_deg=args.target)
+    doc["config_hash"] = cfg.hash
     doc["method"] = args.method
     doc.update(extra)
-    _emit_doc(doc, args.out)
-    return EXIT_OK
+    return doc, None
 
 
-def cmd_schedule(args, cfg) -> int:
-    profile = _parse_profile_arg(args, cfg)
-    f0 = float(args.f0 or cfg.get("waveform", {}).get("f0_hz", DEFAULT_F0_HZ))
-    sched = schedule_mod.build_switch_schedule(profile, f0, ticks_per_period=args.ticks)
-    if args.format == "csv":
-        _emit(schedule_mod.tick_table_text(sched), args.out)
-    else:
-        doc = schedule_mod.schedule_doc(sched)
-        doc["config_hash"] = config_hash(cfg)
-        _emit_doc(doc, args.out)
-    return EXIT_OK
+def cmd_schedule(args, cfg):
+    profile = _parse_profile_arg(args)
+    f0, f0_field = _flag_or_config(args.f0, "--f0", cfg, "waveform.f0_hz")
+    with _naming(f0_field, "--ticks"):
+        sched = schedule_mod.build_switch_schedule(profile, f0, ticks_per_period=args.ticks)
+    doc = schedule_mod.schedule_doc(sched)
+    doc["config_hash"] = cfg.hash
+    return doc, schedule_mod.tick_table_text(sched)
 
 
-def cmd_compare(args, cfg) -> int:
+def cmd_compare(args, cfg):
     geometry = build_geometry(cfg)
     model = build_element_model(cfg)
     waveform = build_waveform(cfg)
     reports = []
     for path in args.measured:
-        sweep = compare_mod.load_measured_sweep(path)
-        if "psi_deg" not in sweep.metadata:
-            raise compare_mod.SweepFormatError(
-                f"{path}: missing '#psi_deg=...' metadata naming the profile"
-            )
-        phases = [float(tok) for tok in sweep.metadata["psi_deg"].split(",")]
-        report = compare_mod.compare_sweep(sweep, geometry, model, waveform, phases)
+        with _naming(path):
+            sweep = compare_mod.load_measured_sweep(path)
+            if "psi_deg" not in sweep.metadata:
+                raise compare_mod.SweepFormatError(
+                    "missing '#psi_deg=...' metadata naming the profile"
+                )
+            phases = _read_phases(sweep.metadata["psi_deg"], "#psi_deg")
+            report = compare_mod.compare_sweep(sweep, geometry, model, waveform, phases)
         doc = compare_mod.report_doc(report)
         doc["file"] = path
         reports.append(doc)
     total = sum(r["matches"] for r in reports)
     possible = sum(len(r["harmonics"]) for r in reports)
     summary = {
-        "config_hash": config_hash(cfg),
+        "config_hash": cfg.hash,
         "files": reports,
         "total_matches": total,
         "total_comparisons": possible,
     }
-    if args.format == "doc":
-        _emit_doc(summary, args.out)
-    else:
-        lines = [f"#config_hash={config_hash(cfg)}", "file,harmonic,measured,predicted,match,nrms_front"]
-        for r in reports:
-            for h in r["harmonics"]:
-                lines.append(
-                    "{},{:+d},{},{},{},{:.6g}".format(
-                        r["file"],
-                        h["harmonic"],
-                        "/".join(f"{a:g}" for a in h["measured_dominance"]),
-                        "/".join(f"{a:g}" for a in h["predicted_dominance"]),
-                        "yes" if h["match"] else "NO",
-                        h["nrms_front"],
-                    )
-                )
-        lines.append(f"#matches={total}/{possible}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
-
-
-def cmd_table2(args, cfg) -> int:
-    catalog = steering.steering_catalog()
-    if args.format == "doc":
-        _emit_doc(
-            {
-                "rows": [
-                    {
-                        "desired_plus": list(c.desired_plus),
-                        "psi_deg": list(c.psi_deg),
-                        "measured_plus": [list(p) for p in c.measured_plus],
-                        "measured_minus": [list(p) for p in c.measured_minus],
-                    }
-                    for c in catalog
-                ]
-            },
-            args.out,
-        )
-    else:
-        lines = ["desired_plus,psi_deg,measured_plus,measured_minus"]
-        for c in catalog:
+    lines = [f"#config_hash={cfg.hash}", "file,harmonic,measured,predicted,match,nrms_front"]
+    for r in reports:
+        for h in r["harmonics"]:
             lines.append(
-                "{},{},{},{}".format(
-                    "/".join(map(str, c.desired_plus)),
-                    "[" + " ".join(map(str, c.psi_deg)) + "]",
-                    ";".join("/".join(map(str, p)) for p in c.measured_plus),
-                    ";".join("/".join(map(str, p)) for p in c.measured_minus),
+                "{},{:+d},{},{},{},{:.6g}".format(
+                    r["file"],
+                    h["harmonic"],
+                    "/".join(f"{a:g}" for a in h["measured_dominance"]),
+                    "/".join(f"{a:g}" for a in h["predicted_dominance"]),
+                    "yes" if h["match"] else "NO",
+                    h["nrms_front"],
                 )
             )
-        _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    lines.append(f"#matches={total}/{possible}")
+    return summary, _lines(lines)
+
+
+def cmd_table2(args, cfg):
+    catalog = steering.steering_catalog()
+    doc = {
+        "rows": [
+            {
+                "desired_plus": list(c.desired_plus),
+                "psi_deg": list(c.psi_deg),
+                "measured_plus": [list(p) for p in c.measured_plus],
+                "measured_minus": [list(p) for p in c.measured_minus],
+            }
+            for c in catalog
+        ]
+    }
+    lines = ["desired_plus,psi_deg,measured_plus,measured_minus"]
+    for c in catalog:
+        lines.append(
+            "{},{},{},{}".format(
+                "/".join(map(str, c.desired_plus)),
+                "[" + " ".join(map(str, c.psi_deg)) + "]",
+                ";".join("/".join(map(str, p)) for p in c.measured_plus),
+                ";".join("/".join(map(str, p)) for p in c.measured_minus),
+            )
+        )
+    return doc, _lines(lines)
+
+
+# Every flag; each subcommand in COMMANDS takes only the flags it reads.
+FLAGS = {
+    "--config": {"help": "JSON configuration file"},
+    "--out": {"help": "output path (default: stdout)"},
+    "--format": {"choices": ("csv", "doc"), "default": "csv"},
+    "--max-harmonic": {"type": int, "default": 5, "help": "list orders -N..N"},
+    "--phase": {"type": float, "help": "baseband phase of the element in degrees"},
+    "--profile": {"help": "comma-separated per-element phases in degrees"},
+    "--table2-row": {"type": int, "help": "preset profile row (1-9)"},
+    "--resolution": {"type": float, "default": 1.0, "help": "phase step in degrees"},
+    "--harmonic": {"type": int, "default": 1, "help": "harmonic order m"},
+    "--grid-step": {"type": float, "help": "azimuth grid step in degrees (default: grid_step_deg)"},
+    "--normalization": {"choices": ("raw", "peak_normalized"), "default": "peak_normalized"},
+    "--target": {"type": float, "required": True, "help": "target azimuth in degrees"},
+    "--method": {"choices": ("progressive", "search"), "default": "progressive"},
+    "--f0": {"type": float, "help": "baseband frequency in Hz (default: waveform.f0_hz)"},
+    "--ticks": {"type": int, "default": schedule_mod.DEFAULT_TICKS_PER_PERIOD},
+    "measured": {"nargs": "+", "help": "measured sweep files"},
+}
+_PROFILE = "--profile --table2-row --resolution"
+COMMANDS = {
+    "gamma": (cmd_gamma, "reflection pair and contrast metrics", "--config --out --format"),
+    "coeffs": (
+        cmd_coeffs, "harmonic coefficients of the waveform",
+        "--config --out --format --max-harmonic --phase",
+    ),
+    "pattern": (
+        cmd_pattern, "harmonic far-field sweep",
+        f"--config --out --format {_PROFILE} --harmonic --grid-step --normalization",
+    ),
+    "steer": (
+        cmd_steer, "synthesize a phase profile (JSON output)",
+        "--config --out --target --harmonic --resolution --method",
+    ),
+    "schedule": (
+        cmd_schedule, "switch schedule for a profile",
+        f"--config --out --format {_PROFILE} --f0 --ticks",
+    ),
+    "compare": (cmd_compare, "measured-sweep agreement report", "--config --out --format measured"),
+    "table2": (cmd_table2, "print the golden steering catalog", "--out --format"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON configuration file")
-    common.add_argument("--out", help="output path (default: stdout)")
-    common.add_argument("--grid-step", type=float, help="azimuth grid step in degrees")
-    common.add_argument("--format", choices=("csv", "doc"), default="csv")
-
     parser = argparse.ArgumentParser(
         prog="risbeam",
         description="Harmonic beam steering toolkit for time-modulated surfaces",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gamma", parents=[common], help="reflection pair and contrast metrics")
-    p.set_defaults(func=cmd_gamma)
-
-    p = sub.add_parser("coeffs", parents=[common], help="harmonic coefficients of the waveform")
-    p.add_argument("--max-harmonic", type=int, default=5)
-    p.add_argument("--phase", type=float, help="baseband phase of the element in degrees")
-    p.set_defaults(func=cmd_coeffs)
-
-    p = sub.add_parser("pattern", parents=[common], help="harmonic far-field sweep")
-    p.add_argument("--profile", help="comma-separated per-element phases in degrees")
-    p.add_argument("--table2-row", type=int, help="preset profile row (1-9)")
-    p.add_argument("--harmonic", default="+1")
-    p.add_argument("--normalization", choices=("raw", "peak_normalized"), default="peak_normalized")
-    p.add_argument("--resolution", type=float, default=1.0)
-    p.set_defaults(func=cmd_pattern)
-
-    p = sub.add_parser("steer", parents=[common], help="synthesize a phase profile")
-    p.add_argument("--target", type=float, required=True)
-    p.add_argument("--harmonic", default="+1")
-    p.add_argument("--resolution", type=float, default=1.0)
-    p.add_argument("--method", choices=("progressive", "search"), default="progressive")
-    p.set_defaults(func=cmd_steer)
-
-    p = sub.add_parser("schedule", parents=[common], help="switch schedule for a profile")
-    p.add_argument("--profile")
-    p.add_argument("--table2-row", type=int)
-    p.add_argument("--resolution", type=float, default=1.0)
-    p.add_argument("--f0", type=float)
-    p.add_argument("--ticks", type=int, default=schedule_mod.DEFAULT_TICKS_PER_PERIOD)
-    p.set_defaults(func=cmd_schedule)
-
-    p = sub.add_parser("compare", parents=[common], help="measured-sweep agreement report")
-    p.add_argument("measured", nargs="+", help="measured sweep files")
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("table2", parents=[common], help="print the golden steering catalog")
-    p.set_defaults(func=cmd_table2)
+    for name, (func, help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags.split():
+            p.add_argument(flag, **FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        return args.func(args, cfg)
+        doc, text = args.func(args, load_config(getattr(args, "config", None)))
+        if getattr(args, "format", "doc") == "doc":
+            text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return EXIT_OK
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, circuit.TableFormatError, compare_mod.SweepFormatError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

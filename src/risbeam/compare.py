@@ -21,6 +21,7 @@ from .farfield import (
     HarmonicPattern,
     dominance_direction,
     harmonic_field,
+    steps_per_turn,
 )
 from .modulation import ModulationWaveform
 from .steering import FRONT_SECTOR
@@ -153,8 +154,7 @@ def synthesize_measured_sweep(
     lobe by -shift, preserving the surface-plane mirror symmetry the way a
     real pointing deviation does.
     """
-    n = round(360.0 / grid_step_deg)
-    grid = np.arange(n) * grid_step_deg
+    grid = np.arange(steps_per_turn(grid_step_deg)) * grid_step_deg
     cols = {}
     for harmonic, shift in ((1, shift_plus_deg), (-1, shift_minus_deg)):
         warped = np.where(grid < 180.0, grid - shift, grid + shift) % 360.0
@@ -198,10 +198,11 @@ def _circular_distance_deg(a: float, b: float) -> float:
 
 def dominance_match(predicted, measured, grid_step_deg: float) -> bool:
     """Every predicted dominance angle sits strictly within one grid step of
-    some measured dominance angle, so a full-step deviation is flagged."""
+    some measured dominance angle, so a full-step deviation is flagged.  The
+    bound is relative: adjacent grid angles differ by one step only up to rounding."""
+    limit = grid_step_deg * (1.0 - 1e-9)
     return all(
-        any(_circular_distance_deg(p, m) < grid_step_deg for m in measured)
-        for p in predicted
+        any(_circular_distance_deg(p, m) < limit for m in measured) for p in predicted
     )
 
 

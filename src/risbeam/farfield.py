@@ -26,6 +26,16 @@ class UndefinedDominanceError(ValueError):
     """Dominance direction of an all-zero pattern is undefined."""
 
 
+def steps_per_turn(step_deg: float, name: str = "grid step") -> int:
+    """Number of step_deg steps in 360 deg; the step must be positive and divide 360."""
+    if not step_deg > 0.0:
+        raise ValueError(f"{name} must be positive, got {step_deg}")
+    n = 360.0 / step_deg
+    if not (n >= 1.0 and abs(n - round(n)) <= 1e-9):
+        raise ValueError(f"{name} {step_deg} deg does not divide 360")
+    return round(n)
+
+
 @dataclass(frozen=True)
 class ArrayGeometry:
     """Element grid: n_cols along x with spacing dx, m_rows along y with dy."""
@@ -65,12 +75,11 @@ class ElementPatternModel:
 
     cosine_power gives |cos(offset)|^q about the nearest broadside (90 deg
     on the front half-plane, 270 deg on the back), so the surface-plane
-    directions fall to zero naturally.  peak_gain_dbi is informational.
+    directions fall to zero naturally.
     """
 
     kind: str = "cosine_power"
     q_exponent: float = field(default_factory=default_q_exponent)
-    peak_gain_dbi: float = 1.75
 
     def __post_init__(self):
         if self.kind not in ("isotropic", "cosine_power"):
@@ -90,26 +99,6 @@ class ElementPatternModel:
             offset = np.where(az <= 180.0, az - 90.0, az - 270.0)
             mag = np.clip(np.cos(np.radians(offset)), 0.0, None) ** self.q_exponent
         return float(mag) if np.ndim(azimuth_deg) == 0 else mag
-
-
-def element_pattern_eval(model: ElementPatternModel, azimuth_deg):
-    return model.eval(azimuth_deg)
-
-
-@dataclass(frozen=True)
-class Excitation:
-    """Normal-incidence plane wave: carrier frequency and field amplitude."""
-
-    carrier_frequency: float = 2.45e9
-    amplitude: float = 1.0
-
-    def __post_init__(self):
-        if not (self.carrier_frequency > 0.0 and self.amplitude > 0.0):
-            raise ValueError("carrier_frequency and amplitude must be positive")
-
-    @property
-    def wavelength(self) -> float:
-        return SPEED_OF_LIGHT / self.carrier_frequency
 
 
 def element_delay(psi_deg: float, f0: float) -> float:
@@ -212,10 +201,7 @@ def pattern_sweep(
     amplitude: float = 1.0,
 ) -> HarmonicPattern:
     """Uniform azimuth sweep of |F_m|; grid step must divide 360 evenly."""
-    n = 360.0 / grid_step_deg
-    if abs(n - round(n)) > 1e-9:
-        raise ValueError(f"grid step {grid_step_deg} deg does not divide 360")
-    grid = np.arange(round(n)) * grid_step_deg
+    grid = np.arange(steps_per_turn(grid_step_deg)) * grid_step_deg
     mags = np.abs(
         harmonic_field(
             geometry, element_model, profile, waveform_template, m, grid,

@@ -95,29 +95,13 @@ def fourier_coefficient(w: ModulationWaveform, m: int) -> complex:
     )
 
 
-def fourier_coefficient_numeric(w: ModulationWaveform, m: int, steps: int = 1_000_000) -> complex:
-    """Midpoint-rule evaluation of (1/T0) * integral of gamma(t) exp(-j 2 pi m f0 t).
+def fourier_coefficients_numeric(w: ModulationWaveform, harmonics, steps: int = 1_000_000):
+    """Midpoint-rule evaluation of (1/T0) * integral of gamma(t) exp(-j 2 pi m f0 t)
+    for each order m in harmonics; returns {m: c_m}.
 
     Steps distribute proportionally over the constant segments so that no
-    midpoint interval straddles a switch edge.
-    """
-    if steps < 1000:
-        raise ValueError(f"steps must be >= 1000, got {steps}")
-    total = 0j
-    for a, b, g in _segments(w):
-        n = max(1, round(steps * (b - a) / w.period))
-        h = (b - a) / n
-        t = a + (np.arange(n) + 0.5) * h
-        total += g * h * np.exp(-2j * np.pi * m * w.f0 * t).sum()
-    return total / w.period
-
-
-def fourier_coefficients_numeric(w: ModulationWaveform, harmonics, steps: int = 1_000_000):
-    """Midpoint quadrature for many harmonic orders of one waveform at once.
-
-    Equivalent to calling fourier_coefficient_numeric per order, but reuses
-    the fundamental phasor samples; the midpoint sums are identical up to
-    floating-point accumulation order.
+    midpoint interval straddles a switch edge.  The phasor samples of the
+    fundamental are reused for every order.
     """
     if steps < 1000:
         raise ValueError(f"steps must be >= 1000, got {steps}")

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import ReflectionPair
-from .steering import PhaseProfile  # noqa: F401  (typical input type)
 
 DEFAULT_TICKS_PER_PERIOD = 360
 DEFAULT_AMPLITUDE_V = 3.3
@@ -35,8 +34,8 @@ class SwitchSchedule:
     amplitude_v: float = DEFAULT_AMPLITUDE_V
 
     def __post_init__(self):
-        if not self.f0 > 0.0:
-            raise ValueError(f"f0 must be positive, got {self.f0}")
+        if not (self.f0 > 0.0 and math.isfinite(self.f0)):
+            raise ValueError(f"f0 must be positive and finite, got {self.f0}")
         if self.ticks_per_period < 2 or self.ticks_per_period % 2 != 0:
             raise ValueError(
                 f"ticks_per_period must be even and >= 2, got {self.ticks_per_period}"
@@ -61,8 +60,8 @@ def build_switch_schedule(
     amplitude_v: float = DEFAULT_AMPLITUDE_V,
 ) -> SwitchSchedule:
     """Map profile phases to rise/fall ticks (rise = round-half-up of psi)."""
-    if ticks_per_period % 2 != 0:
-        raise ValueError(f"ticks_per_period must be even, got {ticks_per_period}")
+    if ticks_per_period < 2 or ticks_per_period % 2 != 0:
+        raise ValueError(f"ticks_per_period must be even and >= 2, got {ticks_per_period}")
     phases = getattr(profile, "phases_deg", profile)
     half = ticks_per_period // 2
     channels = []

@@ -14,7 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .farfield import ArrayGeometry, ElementPatternModel, harmonic_field
+from .farfield import ArrayGeometry, ElementPatternModel, harmonic_field, steps_per_turn
 from .modulation import ModulationWaveform
 
 CONVENTION_TAG = "harmonic-coefficient-advance"
@@ -29,14 +29,6 @@ class SectorWarning(UserWarning):
     """Steering target lies outside the element-beamwidth sectors."""
 
 
-def _check_resolution(resolution_deg: float):
-    if not resolution_deg > 0.0:
-        raise ValueError(f"resolution must be positive, got {resolution_deg}")
-    n = 360.0 / resolution_deg
-    if abs(n - round(n)) > 1e-9:
-        raise ValueError(f"resolution {resolution_deg} deg does not divide 360")
-
-
 @dataclass(frozen=True)
 class PhaseProfile:
     """Per-element baseband phases, quantized to resolution_deg."""
@@ -46,7 +38,7 @@ class PhaseProfile:
     convention_tag: str = CONVENTION_TAG
 
     def __post_init__(self):
-        _check_resolution(self.resolution_deg)
+        steps_per_turn(self.resolution_deg, "resolution")
         phases = tuple(float(p) for p in self.phases_deg)
         if not phases:
             raise ValueError("profile must contain at least one phase")
@@ -66,7 +58,7 @@ class PhaseProfile:
 
 def quantize_profile(raw_phases, resolution_deg: float = 1.0) -> PhaseProfile:
     """Reduce mod 360 and round to the nearest resolution multiple (half up)."""
-    _check_resolution(resolution_deg)
+    steps_per_turn(resolution_deg, "resolution")
     out = []
     for raw in raw_phases:
         r = float(raw) % 360.0
@@ -81,6 +73,10 @@ class SteeringRequest:
     harmonic: int
     geometry: ArrayGeometry
     resolution_deg: float = 1.0
+
+    def __post_init__(self):
+        if not math.isfinite(self.desired_azimuth_deg):
+            raise ValueError(f"desired_azimuth_deg must be finite, got {self.desired_azimuth_deg}")
 
 
 def in_measured_sector(azimuth_deg: float) -> bool:
@@ -142,7 +138,7 @@ def optimize_profile_search(
     """
     if req.harmonic == 0:
         raise ValueError("the carrier beam (m = 0) is not steerable by delay")
-    _check_resolution(req.resolution_deg)
+    n_levels = steps_per_turn(req.resolution_deg, "resolution")
     n = req.geometry.element_count
     if not 0 <= pinned_index < n:
         raise ValueError(f"pinned_index {pinned_index} out of range for {n} elements")
@@ -166,7 +162,7 @@ def optimize_profile_search(
             )
         )
 
-    levels = [i * req.resolution_deg for i in range(round(360.0 / req.resolution_deg))]
+    levels = [i * req.resolution_deg for i in range(n_levels)]
     best = objective(phases)
     converged = False
     passes = 0

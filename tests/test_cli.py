@@ -174,3 +174,81 @@ def test_steer_then_pattern_composes(capsys, tmp_path):
         assert code == 0
         front = [a for a in argmax_angles(out) if a <= 180.0]
         assert min(abs(a - target) for a in front) <= 1.0
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        ({"geometry": {"n_cols": None}}, "geometry.n_cols"),
+        ({"geometry": []}, "geometry"),
+        ({"geometry": {"n_col": 8}}, "geometry.n_col"),
+        ({"geometry": {"n_cols": 4.5}}, "geometry.n_cols"),
+        ({"waveform": {"f0_hz": 0}}, "waveform.f0_hz"),
+        ({"waveform": {"z_antenna": [50, "0"]}}, "waveform.z_antenna"),
+        ({"grid_step_deg": 0}, "grid_step_deg"),
+        ({"grid_step_deg": True}, "grid_step_deg"),
+        ({"element_model": {"peak_gain_dbi": 1.75}}, "element_model.peak_gain_dbi"),
+        ({"colour": "blue"}, "colour"),
+    ],
+)
+def test_malformed_config_exits_2_naming_the_key(capsys, tmp_path, config, field):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, "pattern", "--config", str(cfg), "--table2-row", "1")
+    assert code == 2
+    assert out == ""
+    assert field in err and "Traceback" not in err
+
+
+def test_nan_in_config_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"waveform": {"duty": NaN}}')
+    code, _, err = run(capsys, "coeffs", "--config", str(cfg))
+    assert code == 2
+    assert "waveform.duty" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["pattern", "--table2-row", "1", "--grid-step", "0"], "--grid-step"),
+        (["schedule", "--table2-row", "1", "--f0", "0"], "--f0"),
+        (["pattern", "--table2-row", "1", "--resolution", "0"], "--resolution"),
+        (["steer", "--target", "nan"], "--target"),
+        (["coeffs", "--max-harmonic", "-1"], "--max-harmonic"),
+        (["coeffs", "--phase", "inf"], "--phase"),
+        (["pattern", "--profile", "0,x,0,0"], "--profile"),
+        (["gamma", "--grid-step", "5"], "--grid-step"),
+        (["steer", "--target", "60", "--format", "csv"], "--format"),
+        (["table2", "--config", "cfg.json"], "--config"),
+        (["pattern", "--profile", "0,0,0,0", "--harmonic", "+x"], "--harmonic"),
+    ],
+)
+def test_bad_flag_exits_2_naming_the_flag(capsys, argv, flag):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects unknown flags and bad types
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert flag in err and "Traceback" not in err
+
+
+def test_explicit_zero_grid_step_is_not_a_default(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid_step_deg": 10}))
+    code, out, _ = run(capsys, "pattern", "--config", str(cfg), "--table2-row", "1")
+    assert code == 0
+    assert "#grid_step_deg=10" in out
+    code, _, err = run(
+        capsys, "pattern", "--config", str(cfg), "--table2-row", "1", "--grid-step", "0"
+    )
+    assert code == 2 and "--grid-step" in err
+
+
+def test_compare_bad_profile_metadata_names_file_and_key(capsys, tmp_path):
+    p = tmp_path / "sweep.csv"
+    p.write_text("#psi_deg=0,a,0,0\nazimuth_deg,p_plus1_dbm,p_minus1_dbm\n0,-40,-42\n10,-39,-41\n")
+    code, _, err = run(capsys, "compare", str(p))
+    assert code == 2
+    assert str(p) in err and "#psi_deg" in err

@@ -61,6 +61,12 @@ def test_dominance_match_rule_is_strict_at_one_step():
     assert dominance_match([58.0, 302.0], [60.0, 300.0], 10.0)
     # circular wrap
     assert dominance_match([355.0], [2.0], 10.0)
+    # adjacent points of a 0.1 deg grid are one full step apart, whatever
+    # the rounding of their difference
+    grid = np.arange(3600) * 0.1
+    for a, b in zip(grid[500:1800], grid[501:1801]):
+        assert not dominance_match([b], [a], 0.1), (a, b)
+    assert dominance_match([70.25], [70.2], 0.1)
 
 
 def test_empty_sweep_is_format_error():

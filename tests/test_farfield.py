@@ -7,7 +7,6 @@ from risbeam.circuit import ReflectionPair
 from risbeam.farfield import (
     ArrayGeometry,
     ElementPatternModel,
-    Excitation,
     HarmonicPattern,
     UndefinedDominanceError,
     default_q_exponent,
@@ -18,7 +17,9 @@ from risbeam.farfield import (
     pattern_doc,
     pattern_sweep,
 )
+from risbeam.compare import synthesize_measured_sweep
 from risbeam.modulation import ModulationWaveform, fourier_coefficient
+from risbeam.steering import quantize_profile
 
 F0 = 313.0
 GEO = ArrayGeometry.half_wavelength_linear(4)
@@ -101,6 +102,16 @@ def test_grid_step_must_divide_circle():
         pattern_sweep(GEO, ISO, [0, 0, 0, 0], IDEAL, 1, 7.0)
 
 
+@pytest.mark.parametrize("step", [0.0, -1.0, 7.0, math.nan])
+def test_sweeps_and_profiles_share_one_step_check(step):
+    with pytest.raises(ValueError, match="grid step"):
+        pattern_sweep(GEO, ISO, [0, 0, 0, 0], IDEAL, 1, step)
+    with pytest.raises(ValueError, match="grid step"):
+        synthesize_measured_sweep(GEO, ISO, IDEAL, [0, 0, 0, 0], grid_step_deg=step)
+    with pytest.raises(ValueError, match="resolution"):
+        quantize_profile([0.0], step)
+
+
 def test_dominance_constant_pattern_returns_full_grid():
     pat = HarmonicPattern(1, np.arange(0, 360, 10.0), np.ones(36))
     assert len(dominance_direction(pat)) == 36
@@ -170,13 +181,6 @@ def test_broadside_array_enhancement():
     )
     gain_db = 20.0 * math.log10(quad / single)
     assert gain_db == pytest.approx(20.0 * math.log10(4.0), abs=1e-6)
-
-
-def test_excitation_wavelength():
-    exc = Excitation(carrier_frequency=2.45e9)
-    assert exc.wavelength == pytest.approx(0.12236, abs=1e-4)
-    with pytest.raises(ValueError):
-        Excitation(carrier_frequency=-1.0)
 
 
 def test_pattern_csv_roundtrippable():

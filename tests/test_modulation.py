@@ -8,7 +8,6 @@ from risbeam.modulation import (
     ModulationWaveform,
     delay_from_phase,
     fourier_coefficient,
-    fourier_coefficient_numeric,
     fourier_coefficients_numeric,
     phase_from_delay,
     reconstruct_gamma,
@@ -49,13 +48,13 @@ def test_quarter_period_delay_rotates_fundamental():
     assert c == pytest.approx(expected, abs=1e-12)
     assert c == pytest.approx(2.0 / math.pi + 0j, abs=1e-12)
     # independent quadrature route agrees
-    assert fourier_coefficient_numeric(delayed, 1, 1_000_000) == pytest.approx(
+    assert fourier_coefficients_numeric(delayed, [1], 1_000_000)[1] == pytest.approx(
         expected, abs=1e-6
     )
 
 
 def test_numeric_matches_ideal_fundamental():
-    c = fourier_coefficient_numeric(IDEAL, 1, 1_000_000)
+    c = fourier_coefficients_numeric(IDEAL, [1], 1_000_000)[1]
     assert c == pytest.approx(2j / math.pi, abs=1e-6)
 
 
@@ -63,7 +62,7 @@ def test_dc_is_duty_weighted_average():
     w = ModulationWaveform(ReflectionPair(0.8, -0.3 + 0.4j), f0=F0, t_pw=0.3 * T0)
     expected = 0.8 * 0.7 + (-0.3 + 0.4j) * 0.3
     assert fourier_coefficient(w, 0) == pytest.approx(expected, abs=1e-12)
-    assert fourier_coefficient_numeric(w, 0, 1_000_000) == pytest.approx(
+    assert fourier_coefficients_numeric(w, [0], 1_000_000)[0] == pytest.approx(
         expected, abs=1e-6
     )
 
@@ -71,7 +70,7 @@ def test_dc_is_duty_weighted_average():
 def test_constant_waveform_has_no_harmonics():
     w = ModulationWaveform(ReflectionPair(0.5 + 0.1j, 0.5 + 0.1j), f0=F0)
     for m in (1, 2, -3):
-        assert abs(fourier_coefficient_numeric(w, m, 100_000)) < 1e-9
+        assert abs(fourier_coefficients_numeric(w, [m], 100_000)[m]) < 1e-9
         assert abs(fourier_coefficient(w, m)) < 1e-12
 
 
@@ -83,14 +82,6 @@ def test_closed_form_matches_quadrature_randomized():
         numeric = fourier_coefficients_numeric(w, ms, 1_000_000)
         for m in ms:
             assert abs(fourier_coefficient(w, m) - numeric[m]) < 1e-6
-
-
-def test_vectorized_quadrature_matches_single():
-    rng = np.random.default_rng(3)
-    w = random_waveform(rng)
-    batch = fourier_coefficients_numeric(w, [-3, 0, 2, 5], 50_000)
-    for m, v in batch.items():
-        assert v == pytest.approx(fourier_coefficient_numeric(w, m, 50_000), abs=1e-12)
 
 
 def test_magnitude_independent_of_delay():
@@ -176,4 +167,4 @@ def test_waveform_validation():
     with pytest.raises(ValueError):
         ModulationWaveform(ReflectionPair(1, -1), f0=F0, t_pw=T0)
     with pytest.raises(ValueError):
-        fourier_coefficient_numeric(IDEAL, 1, steps=10)
+        fourier_coefficients_numeric(IDEAL, [1], 10)

@@ -57,6 +57,12 @@ def test_carrier_harmonic_not_steerable():
         progressive_phase_profile(SteeringRequest(60.0, 0, GEO))
 
 
+@pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+def test_request_rejects_non_finite_target(target):
+    with pytest.raises(ValueError, match="desired_azimuth_deg"):
+        SteeringRequest(target, 1, GEO)
+
+
 def test_planar_geometry_rejected_by_closed_form():
     planar = ArrayGeometry(n_cols=2, m_rows=2, dx=0.06, dy=0.06, lambda_c=0.12)
     with pytest.raises(ValueError):
