@@ -12,10 +12,9 @@ import argparse
 import contextlib
 import hashlib
 import json
+import math
 import sys
 from dataclasses import replace
-
-import numpy as np
 
 from . import circuit, compare as compare_mod, farfield, modulation, schedule as schedule_mod, steering
 
@@ -97,7 +96,7 @@ def load_config(path: str | None) -> Config:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -153,31 +152,45 @@ def build_element_model(cfg: Config) -> farfield.ElementPatternModel:
     return farfield.ElementPatternModel(kind=kind, q_exponent=cfg["element_model.q_exponent"])
 
 
-def resolve_impedances(cfg: Config) -> circuit.ImpedancePoint:
-    """Impedance point from the config: explicit values or a table lookup."""
-    has_table = "waveform.impedance_table" in cfg
-    if has_table and any(f"waveform.{k}" in cfg for k in ("z_antenna", "z_load_on", "z_load_off")):
-        raise ConfigError("give either explicit impedances or an impedance table, not both")
-    if has_table:
-        table = circuit.load_impedance_table(cfg["waveform.impedance_table"])
+_PAIR_SOURCES = (
+    ("waveform.gamma_on", "waveform.gamma_off"),
+    ("waveform.impedance_table",),
+    ("waveform.z_antenna", "waveform.z_load_on", "waveform.z_load_off"),
+)
+
+
+def resolve_pair(cfg: Config) -> tuple[float, circuit.ReflectionPair]:
+    """(frequency, pair) from the one pair source the config sets: gamma_on/gamma_off,
+    an impedance_table lookup at frequency_hz, or the explicit (else default) impedances."""
+    given = [", ".join(k for k in keys if k in cfg) for keys in _PAIR_SOURCES]
+    given = [keys for keys in given if keys]
+    if len(given) > 1:
+        raise ConfigError(f"the reflection pair has more than one source: {' and '.join(given)}")
+    frequency = cfg["waveform.frequency_hz"]
+    if not frequency > 0.0:
+        raise ConfigError(f"waveform.frequency_hz must be positive, got {frequency}")
+    if "waveform.gamma_on" in cfg or "waveform.gamma_off" in cfg:
+        pair = circuit.ReflectionPair(cfg["waveform.gamma_on"], cfg["waveform.gamma_off"])
+        return frequency, pair
+    if "waveform.impedance_table" in cfg:
         if "waveform.frequency_hz" not in cfg:
             raise ConfigError("waveform.impedance_table requires waveform.frequency_hz")
-        return table.lookup(cfg["waveform.frequency_hz"])
-    return circuit.ImpedancePoint(
-        frequency=cfg["waveform.frequency_hz"],
-        z_antenna=cfg["waveform.z_antenna"],
-        z_load_on=cfg["waveform.z_load_on"],
-        z_load_off=cfg["waveform.z_load_off"],
-    )
+        with _naming("waveform.impedance_table"):
+            table = circuit.load_impedance_table(cfg["waveform.impedance_table"])
+        with _naming("waveform.frequency_hz"):
+            point = table.lookup(frequency)
+    else:
+        point = circuit.ImpedancePoint(
+            frequency=frequency,
+            z_antenna=cfg["waveform.z_antenna"],
+            z_load_on=cfg["waveform.z_load_on"],
+            z_load_off=cfg["waveform.z_load_off"],
+        )
+    return frequency, point.reflection_pair()
 
 
 def build_waveform(cfg: Config) -> modulation.ModulationWaveform:
-    if "waveform.gamma_on" in cfg or "waveform.gamma_off" in cfg:
-        if "waveform.impedance_table" in cfg:
-            raise ConfigError("give either an explicit gamma pair or an impedance table, not both")
-        pair = circuit.ReflectionPair(cfg["waveform.gamma_on"], cfg["waveform.gamma_off"])
-    else:
-        pair = resolve_impedances(cfg).reflection_pair()
+    pair = resolve_pair(cfg)[1]
     f0 = cfg["waveform.f0_hz"]
     with _naming("waveform.f0_hz", "waveform.duty"):
         return modulation.ModulationWaveform(
@@ -191,7 +204,7 @@ def _read_phases(text: str, field: str) -> list:
         phases = [float(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"{field}: {exc}") from exc
-    if not np.all(np.isfinite(phases)):
+    if not all(map(math.isfinite, phases)):
         raise ConfigError(f"{field}: phases must be finite, got {text!r}")
     return phases
 
@@ -221,11 +234,10 @@ def _lines(rows) -> str:
 
 
 def cmd_gamma(args, cfg):
-    point = resolve_impedances(cfg)
-    pair = point.reflection_pair()
+    frequency, pair = resolve_pair(cfg)
     doc = {
         "config_hash": cfg.hash,
-        "frequency_hz": point.frequency,
+        "frequency_hz": frequency,
         "gamma_on": [pair.gamma_on.real, pair.gamma_on.imag],
         "gamma_off": [pair.gamma_off.real, pair.gamma_off.imag],
         "magnitude_on": abs(pair.gamma_on),
@@ -292,17 +304,9 @@ def cmd_pattern(args, cfg):
     profile = _parse_profile_arg(args)
     step, step_field = _flag_or_config(args.grid_step, "--grid-step", cfg, "grid_step_deg")
     farfield.steps_per_turn(step, step_field)
-    sweep_args = (geometry, model, profile, waveform, args.harmonic, step)
-    try:
-        pattern = farfield.pattern_sweep(*sweep_args, normalization=args.normalization)
-        zero_pattern = False
-    except ValueError as exc:
-        if "all-zero" not in str(exc):
-            raise
-        # every sample is numerical-zero noise: export exact zeros (-inf dB rows)
-        raw = farfield.pattern_sweep(*sweep_args, normalization="raw")
-        pattern = replace(raw, magnitude=np.zeros_like(raw.magnitude))
-        zero_pattern = True
+    pattern = farfield.pattern_sweep(
+        geometry, model, profile, waveform, args.harmonic, step, normalization=args.normalization
+    )
     meta = {
         "config_hash": cfg.hash,
         "geometry": f"{geometry.n_cols}x{geometry.m_rows}",
@@ -313,7 +317,7 @@ def cmd_pattern(args, cfg):
         "profile_psi_deg": ",".join(f"{p:.10g}" for p in profile.phases_deg),
         "grid_step_deg": f"{step:.10g}",
     }
-    if zero_pattern:
+    if not pattern.magnitude.any():
         meta["zero_pattern"] = "true (harmonic carries no power for this waveform)"
         print(f"warning: harmonic {args.harmonic} pattern is identically zero", file=sys.stderr)
     return farfield.pattern_doc(pattern, meta), farfield.pattern_csv(pattern, meta)

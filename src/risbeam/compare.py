@@ -19,8 +19,8 @@ from .farfield import (
     ArrayGeometry,
     ElementPatternModel,
     HarmonicPattern,
+    _field_magnitude,
     dominance_direction,
-    harmonic_field,
     steps_per_turn,
 )
 from .modulation import ModulationWaveform
@@ -102,6 +102,8 @@ def parse_measured_sweep(text: str) -> MeasuredSweep:
             a, p1, m1 = (float(c) for c in cells)
         except ValueError as exc:
             raise SweepFormatError(f"line {lineno}: {exc}") from exc
+        if not all(map(math.isfinite, (a, p1, m1))):
+            raise SweepFormatError(f"line {lineno}: cells must be finite, got {line!r}")
         az.append(a)
         pp.append(p1)
         pm.append(m1)
@@ -126,18 +128,6 @@ def format_measured_sweep(sweep: MeasuredSweep) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _normalized_sweep_pattern(
-    geometry, element_model, waveform_template, profile, harmonic, grid
-) -> np.ndarray:
-    mags = np.abs(
-        harmonic_field(geometry, element_model, profile, waveform_template, harmonic, grid)
-    )
-    peak = mags.max()
-    if peak == 0.0:
-        raise ValueError(f"predicted pattern for harmonic {harmonic} is identically zero")
-    return mags / peak
-
-
 def synthesize_measured_sweep(
     geometry: ArrayGeometry,
     element_model: ElementPatternModel,
@@ -158,8 +148,8 @@ def synthesize_measured_sweep(
     cols = {}
     for harmonic, shift in ((1, shift_plus_deg), (-1, shift_minus_deg)):
         warped = np.where(grid < 180.0, grid - shift, grid + shift) % 360.0
-        mags = _normalized_sweep_pattern(
-            geometry, element_model, waveform_template, profile, harmonic, warped
+        mags = _field_magnitude(
+            geometry, element_model, profile, waveform_template, harmonic, warped, "peak_normalized"
         )
         cols[harmonic] = np.where(
             mags > 0.0, 20.0 * np.log10(np.where(mags > 0.0, mags, 1.0)), ZERO_FLOOR_DBM
@@ -222,8 +212,8 @@ def compare_sweep(
     for harmonic in harmonics:
         meas = sweep.amplitudes(harmonic)
         meas = meas / meas.max()
-        pred = _normalized_sweep_pattern(
-            geometry, element_model, waveform_template, profile, harmonic, grid
+        pred = _field_magnitude(
+            geometry, element_model, profile, waveform_template, harmonic, grid, "peak_normalized"
         )
         meas_dom = dominance_direction(
             HarmonicPattern(harmonic, grid, meas, "peak_normalized")

@@ -18,9 +18,6 @@ SPEED_OF_LIGHT = 299_792_458.0
 
 DOMINANCE_TIE_REL = 1e-6
 
-# peaks below this are numerical zero (e.g. even harmonics at exactly 50% duty)
-ZERO_PATTERN_TOL = 1e-12
-
 
 class UndefinedDominanceError(ValueError):
     """Dominance direction of an all-zero pattern is undefined."""
@@ -189,6 +186,20 @@ class HarmonicPattern:
         object.__setattr__(self, "magnitude", mag)
 
 
+def _field_magnitude(geometry, model, profile, waveform, m, azimuth_deg, normalization):
+    """|F_m|, raw or peak-normalized; exact zeros when the peak is rounding noise.
+
+    |F_m| <= element_count * max(|gamma_on|, |gamma_off|) because |c_m| <= max |gamma(t)|
+    and the element gain is <= 1; the noise floor is 1e-12 of that bound.
+    """
+    mags = np.abs(harmonic_field(geometry, model, profile, waveform, m, azimuth_deg))
+    peak = mags.max()
+    pair = waveform.pair
+    if peak <= 1e-12 * geometry.element_count * max(abs(pair.gamma_on), abs(pair.gamma_off)):
+        return np.zeros_like(mags)
+    return mags / peak if normalization == "peak_normalized" else mags
+
+
 def pattern_sweep(
     geometry: ArrayGeometry,
     element_model: ElementPatternModel,
@@ -197,23 +208,15 @@ def pattern_sweep(
     m: int,
     grid_step_deg: float = 1.0,
     normalization: str = "peak_normalized",
-    elevation_deg: float = 90.0,
-    amplitude: float = 1.0,
 ) -> HarmonicPattern:
-    """Uniform azimuth sweep of |F_m|; grid step must divide 360 evenly."""
+    """Uniform azimuth sweep of |F_m|; grid step must divide 360 evenly.  A
+    harmonic that carries no power comes back as exact zeros labelled raw."""
     grid = np.arange(steps_per_turn(grid_step_deg)) * grid_step_deg
-    mags = np.abs(
-        harmonic_field(
-            geometry, element_model, profile, waveform_template, m, grid,
-            elevation_deg=elevation_deg, amplitude=amplitude,
-        )
+    mags = _field_magnitude(
+        geometry, element_model, profile, waveform_template, m, grid, normalization
     )
-    if normalization == "peak_normalized":
-        peak = mags.max()
-        if peak < ZERO_PATTERN_TOL:
-            raise ValueError("cannot peak-normalize an all-zero pattern")
-        mags = mags / peak
-    return HarmonicPattern(m=m, azimuth_deg=grid, magnitude=mags, normalization=normalization)
+    pattern = HarmonicPattern(m=m, azimuth_deg=grid, magnitude=mags, normalization=normalization)
+    return pattern if mags.any() else replace(pattern, normalization="raw")
 
 
 def dominance_direction(pattern: HarmonicPattern) -> list[float]:

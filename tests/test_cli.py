@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,11 @@ from risbeam.modulation import ModulationWaveform
 GEO = ArrayGeometry.half_wavelength_linear(4)
 ISO = ElementPatternModel.isotropic()
 IDEAL = ModulationWaveform(ReflectionPair(1.0, -1.0), f0=313.0)
+TABLE = (
+    "freq_hz,za_re,za_im,zl1_re,zl1_im,zl2_re,zl2_im\n"
+    "2.4e9,46.85,-0.8,2.99,4.02,96.27,-508.72\n"
+    "2.5e9,46.85,-0.8,2.99,4.02,96.27,-508.72\n"
+)
 
 
 def run(capsys, *argv):
@@ -79,12 +85,63 @@ def test_pattern_in_phase_minus_harmonic(capsys):
     assert argmax_angles(out) == [90.0, 270.0]
 
 
-def test_pattern_even_harmonic_flagged_as_zero(capsys):
-    code, out, err = run(capsys, "pattern", "--profile", "0,0,0,0", "--harmonic", "+2")
+@pytest.mark.parametrize("normalization", ["peak_normalized", "raw"])
+def test_pattern_even_harmonic_flagged_as_zero(capsys, normalization):
+    code, out, err = run(
+        capsys, "pattern", "--profile", "0,0,0,0", "--harmonic", "+2",
+        "--normalization", normalization,
+    )
     assert code == 0
     assert "identically zero" in err
+    assert "#zero_pattern=" in out and "#normalization=raw" in out
     rows = csv_rows(out)[1:]
-    assert all(r.endswith("-inf") for r in rows)
+    assert all(r.split(",")[1:] == ["0", "-inf"] for r in rows)
+
+
+def test_pattern_of_a_tiny_pair_is_not_zero(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"waveform": {"gamma_on": [1e-13, 0], "gamma_off": [-1e-13, 0]}}))
+    code, out, err = run(capsys, "pattern", "--config", str(cfg), "--profile", "0,0,0,0")
+    assert code == 0 and err == ""
+    assert "#zero_pattern" not in out and "#normalization=peak_normalized" in out
+    assert argmax_angles(out) == [90.0, 270.0]
+
+
+def test_gamma_reports_the_explicit_pair(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"waveform": {"gamma_on": [0.5, 0], "gamma_off": [-0.5, 0]}}))
+    code, out, _ = run(capsys, "gamma", "--config", str(cfg), "--format", "doc")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["gamma_on"] == [0.5, 0.0] and doc["gamma_off"] == [-0.5, 0.0]
+    assert doc["differential_magnitude"] == 1.0
+
+
+@pytest.mark.parametrize("command", ["gamma", "coeffs"])
+@pytest.mark.parametrize(
+    "waveform, first, second",
+    [
+        ({"gamma_on": [0.5, 0], "z_load_on": [3, 4]}, "waveform.gamma_on", "waveform.z_load_on"),
+        (
+            {"gamma_off": [-0.5, 0], "impedance_table": "table.csv", "frequency_hz": 2.45e9},
+            "waveform.gamma_off", "waveform.impedance_table",
+        ),
+        (
+            {"impedance_table": "table.csv", "frequency_hz": 2.45e9, "z_antenna": [50, 0]},
+            "waveform.impedance_table", "waveform.z_antenna",
+        ),
+    ],
+)
+def test_two_pair_sources_exit_2_naming_both(
+    capsys, tmp_path, monkeypatch, command, waveform, first, second
+):
+    monkeypatch.chdir(tmp_path)
+    Path("table.csv").write_text(TABLE)
+    Path("cfg.json").write_text(json.dumps({"waveform": waveform}))
+    code, out, err = run(capsys, command, "--config", "cfg.json")
+    assert code == 2
+    assert out == ""
+    assert first in err and second in err
 
 
 def test_steer_presets(capsys):
@@ -189,11 +246,23 @@ def test_steer_then_pattern_composes(capsys, tmp_path):
         ({"grid_step_deg": True}, "grid_step_deg"),
         ({"element_model": {"peak_gain_dbi": 1.75}}, "element_model.peak_gain_dbi"),
         ({"colour": "blue"}, "colour"),
+        pytest.param(b'{"waveform": {"duty": 0.5}}\xff', "cfg.json", id="non-utf-8-cfg.json"),
+        ({"waveform": {"impedance_table": "latin1.csv", "frequency_hz": 2.45e9}},
+         "waveform.impedance_table"),
+        ({"waveform": {"impedance_table": "header.csv", "frequency_hz": 2.45e9}},
+         "waveform.impedance_table"),
+        ({"waveform": {"impedance_table": "table.csv", "frequency_hz": 3e9}},
+         "waveform.frequency_hz"),
+        ({"waveform": {"gamma_on": [0.5, 0], "frequency_hz": -1}}, "waveform.frequency_hz"),
     ],
 )
-def test_malformed_config_exits_2_naming_the_key(capsys, tmp_path, config, field):
+def test_malformed_config_exits_2_naming_the_key(capsys, tmp_path, monkeypatch, config, field):
+    monkeypatch.chdir(tmp_path)
+    Path("table.csv").write_text(TABLE)
+    Path("latin1.csv").write_bytes(b"\xff" + TABLE.encode())
+    Path("header.csv").write_text("not,a,header\n1,2,3\n")
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
+    cfg.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
     code, out, err = run(capsys, "pattern", "--config", str(cfg), "--table2-row", "1")
     assert code == 2
     assert out == ""

@@ -83,6 +83,13 @@ def test_missing_column_is_format_error():
         parse_measured_sweep("azimuth_deg,p_plus1_dbm,p_minus1_dbm\n0,-40\n")
 
 
+@pytest.mark.parametrize("row", ["90,inf,-40", "90,-40,-inf", "nan,-40,-42"])
+def test_non_finite_cell_is_format_error(row):
+    text = f"azimuth_deg,p_plus1_dbm,p_minus1_dbm\n0,-40,-42\n{row}\n"
+    with pytest.raises(SweepFormatError, match="line 3"):
+        parse_measured_sweep(text)
+
+
 def test_duplicate_and_nonuniform_grids_rejected():
     with pytest.raises(SweepFormatError):
         MeasuredSweep(np.array([0.0, 0.0]), np.zeros(2), np.zeros(2), {})

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from risbeam.circuit import ReflectionPair
 from risbeam.farfield import (
@@ -93,8 +94,32 @@ def test_sweep_anchor_profile_minus_harmonic():
 def test_even_harmonic_sweep_is_zero_at_half_duty():
     pat = pattern_sweep(GEO, ISO, [0, 270, 180, 90], IDEAL, 2, 1.0, normalization="raw")
     assert np.all(pat.magnitude < 1e-12)
-    with pytest.raises(ValueError):
-        pattern_sweep(GEO, ISO, [0, 270, 180, 90], IDEAL, 2, 1.0)
+    pat = pattern_sweep(GEO, ISO, [0, 270, 180, 90], IDEAL, 2, 1.0)
+    assert not pat.magnitude.any() and pat.normalization == "raw"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    log_scale=st.floats(-150.0, 0.0),
+    pair=st.sampled_from([IDEAL.pair, REALISTIC.pair]),
+    psi=st.lists(st.integers(0, 359), min_size=4, max_size=4),
+    model=st.sampled_from([ISO, COS]),
+)
+@example(log_scale=-13.0, pair=IDEAL.pair, psi=[0, 0, 0, 0], model=ISO)
+def test_zero_rule_does_not_depend_on_the_pair_scale(log_scale, pair, psi, model):
+    s = 10.0 ** log_scale
+    scaled = ModulationWaveform(ReflectionPair(s * pair.gamma_on, s * pair.gamma_off), f0=F0)
+    unscaled = ModulationWaveform(pair, f0=F0)
+    for m in (1, -1, 3, -3):
+        ref = pattern_sweep(GEO, model, psi, unscaled, m, 5.0)
+        pat = pattern_sweep(GEO, model, psi, scaled, m, 5.0)
+        assert pat.normalization == "peak_normalized"
+        # both peaks are 1, so this is relative to the peak
+        assert np.max(np.abs(pat.magnitude - ref.magnitude)) <= 1e-9
+    # at 50% duty the even harmonics carry no power at any scale
+    for m in (2, -2, 4, -4):
+        pat = pattern_sweep(GEO, model, psi, scaled, m, 5.0)
+        assert not pat.magnitude.any() and pat.normalization == "raw"
 
 
 def test_grid_step_must_divide_circle():
