@@ -2,7 +2,8 @@
 
 Configuration is JSON (see README); CONFIG_KEYS lists every key.  Outputs are
 deterministic: export headers carry a hash of the configuration file instead
-of timestamps.
+of timestamps.  Each subcommand imports only the package modules it uses, so
+the ones that compute no arrays never load numpy.
 Exit codes: 0 success, 2 validation error, 3 I/O error.
 """
 
@@ -16,15 +17,14 @@ import math
 import sys
 from dataclasses import replace
 
-from . import circuit, compare as compare_mod, farfield, modulation, schedule as schedule_mod, steering
-
 PHASE_BAND_CENTER_DEG = 180.0
 PHASE_BAND_HALF_WIDTH_DEG = 12.0
 
 # Every config key: dotted name (section.key) -> (type, default).  Defaults
 # are the reference operating point of the 1x4 demonstrator (2.45 GHz
 # carrier, 313 Hz baseband).  A None default is derived from other keys
-# (lambda_c_m, dx_m, dy_m) or means the key is unset (impedance_table).
+# (lambda_c_m, dx_m, dy_m), is the library default (q_exponent: a 96 deg
+# half-power beamwidth) or means the key is unset (impedance_table).
 CONFIG_KEYS = {
     "geometry.f_c_hz": (float, 2.45e9),
     "geometry.lambda_c_m": (float, None),
@@ -33,7 +33,7 @@ CONFIG_KEYS = {
     "geometry.dx_m": (float, None),
     "geometry.dy_m": (float, None),
     "element_model.kind": (str, "isotropic"),
-    "element_model.q_exponent": (float, farfield.default_q_exponent()),
+    "element_model.q_exponent": (float, None),
     "waveform.impedance_table": (str, None),
     "waveform.frequency_hz": (float, 2.45e9),
     "waveform.z_antenna": (complex, complex(46.85, -0.8)),
@@ -133,6 +133,8 @@ def _flag_or_config(value, flag: str, cfg: Config, key: str):
 
 
 def build_geometry(cfg: Config) -> farfield.ArrayGeometry:
+    from . import farfield
+
     with _naming("geometry.f_c_hz"):
         lam = cfg.get("geometry.lambda_c_m", farfield.SPEED_OF_LIGHT / cfg["geometry.f_c_hz"])
     with _naming("geometry"):
@@ -146,10 +148,13 @@ def build_geometry(cfg: Config) -> farfield.ArrayGeometry:
 
 
 def build_element_model(cfg: Config) -> farfield.ElementPatternModel:
+    from . import farfield
+
     kind = cfg["element_model.kind"]
     if kind == "isotropic":
         return farfield.ElementPatternModel.isotropic()
-    return farfield.ElementPatternModel(kind=kind, q_exponent=cfg["element_model.q_exponent"])
+    q_exponent = cfg.get("element_model.q_exponent", farfield.default_q_exponent())
+    return farfield.ElementPatternModel(kind=kind, q_exponent=q_exponent)
 
 
 _PAIR_SOURCES = (
@@ -162,6 +167,8 @@ _PAIR_SOURCES = (
 def resolve_pair(cfg: Config) -> tuple[float, circuit.ReflectionPair]:
     """(frequency, pair) from the one pair source the config sets: gamma_on/gamma_off,
     an impedance_table lookup at frequency_hz, or the explicit (else default) impedances."""
+    from . import circuit
+
     given = [", ".join(k for k in keys if k in cfg) for keys in _PAIR_SOURCES]
     given = [keys for keys in given if keys]
     if len(given) > 1:
@@ -190,6 +197,8 @@ def resolve_pair(cfg: Config) -> tuple[float, circuit.ReflectionPair]:
 
 
 def build_waveform(cfg: Config) -> modulation.ModulationWaveform:
+    from . import modulation
+
     pair = resolve_pair(cfg)[1]
     f0 = cfg["waveform.f0_hz"]
     with _naming("waveform.f0_hz", "waveform.duty"):
@@ -210,6 +219,8 @@ def _read_phases(text: str, field: str) -> list:
 
 
 def _parse_profile_arg(args) -> steering.PhaseProfile:
+    from . import farfield, steering
+
     if args.profile is not None and args.table2_row is not None:
         raise ConfigError("give --profile or --table2-row, not both")
     farfield.steps_per_turn(args.resolution, "--resolution")
@@ -234,6 +245,8 @@ def _lines(rows) -> str:
 
 
 def cmd_gamma(args, cfg):
+    from . import circuit
+
     frequency, pair = resolve_pair(cfg)
     doc = {
         "config_hash": cfg.hash,
@@ -274,6 +287,8 @@ def cmd_gamma(args, cfg):
 
 
 def cmd_coeffs(args, cfg):
+    from . import farfield, modulation
+
     if args.max_harmonic < 0:
         raise ConfigError(f"--max-harmonic must be >= 0, got {args.max_harmonic}")
     waveform = build_waveform(cfg)
@@ -298,6 +313,8 @@ def cmd_coeffs(args, cfg):
 
 
 def cmd_pattern(args, cfg):
+    from . import farfield
+
     geometry = build_geometry(cfg)
     model = build_element_model(cfg)
     waveform = build_waveform(cfg)
@@ -324,6 +341,8 @@ def cmd_pattern(args, cfg):
 
 
 def cmd_steer(args, cfg):
+    from . import farfield, steering
+
     geometry = build_geometry(cfg)
     farfield.steps_per_turn(args.resolution, "--resolution")
     with _naming("--target"):
@@ -350,30 +369,35 @@ def cmd_steer(args, cfg):
 
 
 def cmd_schedule(args, cfg):
+    from . import schedule
+
     profile = _parse_profile_arg(args)
     f0, f0_field = _flag_or_config(args.f0, "--f0", cfg, "waveform.f0_hz")
+    ticks = schedule.DEFAULT_TICKS_PER_PERIOD if args.ticks is None else args.ticks
     with _naming(f0_field, "--ticks"):
-        sched = schedule_mod.build_switch_schedule(profile, f0, ticks_per_period=args.ticks)
-    doc = schedule_mod.schedule_doc(sched)
+        sched = schedule.build_switch_schedule(profile, f0, ticks_per_period=ticks)
+    doc = schedule.schedule_doc(sched)
     doc["config_hash"] = cfg.hash
-    return doc, schedule_mod.tick_table_text(sched)
+    return doc, schedule.tick_table_text(sched)
 
 
 def cmd_compare(args, cfg):
+    from . import compare
+
     geometry = build_geometry(cfg)
     model = build_element_model(cfg)
     waveform = build_waveform(cfg)
     reports = []
     for path in args.measured:
         with _naming(path):
-            sweep = compare_mod.load_measured_sweep(path)
+            sweep = compare.load_measured_sweep(path)
             if "psi_deg" not in sweep.metadata:
-                raise compare_mod.SweepFormatError(
+                raise compare.SweepFormatError(
                     "missing '#psi_deg=...' metadata naming the profile"
                 )
             phases = _read_phases(sweep.metadata["psi_deg"], "#psi_deg")
-            report = compare_mod.compare_sweep(sweep, geometry, model, waveform, phases)
-        doc = compare_mod.report_doc(report)
+            report = compare.compare_sweep(sweep, geometry, model, waveform, phases)
+        doc = compare.report_doc(report)
         doc["file"] = path
         reports.append(doc)
     total = sum(r["matches"] for r in reports)
@@ -402,6 +426,8 @@ def cmd_compare(args, cfg):
 
 
 def cmd_table2(args, cfg):
+    from . import steering
+
     catalog = steering.steering_catalog()
     doc = {
         "rows": [
@@ -443,7 +469,7 @@ FLAGS = {
     "--target": {"type": float, "required": True, "help": "target azimuth in degrees"},
     "--method": {"choices": ("progressive", "search"), "default": "progressive"},
     "--f0": {"type": float, "help": "baseband frequency in Hz (default: waveform.f0_hz)"},
-    "--ticks": {"type": int, "default": schedule_mod.DEFAULT_TICKS_PER_PERIOD},
+    "--ticks": {"type": int, "help": "ticks per baseband period (default: 360)"},
     "measured": {"nargs": "+", "help": "measured sweep files"},
 }
 _PROFILE = "--profile --table2-row --resolution"

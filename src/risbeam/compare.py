@@ -66,13 +66,19 @@ class MeasuredSweep:
         return float(self.azimuth_deg[1] - self.azimuth_deg[0])
 
     def amplitudes(self, harmonic: int) -> np.ndarray:
+        """Linear amplitudes 10^(dBm/20) of a harmonic's column; some cell must be nonzero."""
         if harmonic == 1:
-            dbm = self.p_plus1_dbm
+            column, dbm = "p_plus1_dbm", self.p_plus1_dbm
         elif harmonic == -1:
-            dbm = self.p_minus1_dbm
+            column, dbm = "p_minus1_dbm", self.p_minus1_dbm
         else:
             raise SweepFormatError(f"sweep carries only ±1st harmonics, not {harmonic}")
-        return 10.0 ** (dbm / 20.0)
+        amps = 10.0 ** (dbm / 20.0)
+        if not amps.max() > 0.0:
+            raise SweepFormatError(
+                f"{column}: every cell underflows to zero amplitude (peak {dbm.max():g} dBm)"
+            )
+        return amps
 
 
 def parse_measured_sweep(text: str) -> MeasuredSweep:

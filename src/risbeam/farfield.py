@@ -10,9 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .modulation import ModulationWaveform, delay_from_phase, fourier_coefficient
+
+# numpy is imported inside the functions that build arrays, so importing this
+# module does not load it; annotations naming np are never evaluated.
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -89,6 +90,8 @@ class ElementPatternModel:
         return cls(kind="isotropic")
 
     def eval(self, azimuth_deg):
+        import numpy as np
+
         az = np.asarray(azimuth_deg, dtype=float) % 360.0
         if self.kind == "isotropic":
             mag = np.ones_like(az)
@@ -129,6 +132,8 @@ def harmonic_field(
     harmonic coefficient is the waveform template re-delayed per
     element_delay.  Elevation defaults to the azimuth cut (90 deg).
     """
+    import numpy as np
+
     phases = _profile_phases(profile)
     if len(phases) != geometry.element_count:
         raise ValueError(
@@ -174,6 +179,8 @@ class HarmonicPattern:
     normalization: str = "raw"
 
     def __post_init__(self):
+        import numpy as np
+
         az = np.asarray(self.azimuth_deg, dtype=float)
         mag = np.asarray(self.magnitude, dtype=float)
         if az.size == 0 or az.shape != mag.shape:
@@ -192,6 +199,8 @@ def _field_magnitude(geometry, model, profile, waveform, m, azimuth_deg, normali
     |F_m| <= element_count * max(|gamma_on|, |gamma_off|) because |c_m| <= max |gamma(t)|
     and the element gain is <= 1; the noise floor is 1e-12 of that bound.
     """
+    import numpy as np
+
     mags = np.abs(harmonic_field(geometry, model, profile, waveform, m, azimuth_deg))
     peak = mags.max()
     pair = waveform.pair
@@ -211,6 +220,8 @@ def pattern_sweep(
 ) -> HarmonicPattern:
     """Uniform azimuth sweep of |F_m|; grid step must divide 360 evenly.  A
     harmonic that carries no power comes back as exact zeros labelled raw."""
+    import numpy as np
+
     grid = np.arange(steps_per_turn(grid_step_deg)) * grid_step_deg
     mags = _field_magnitude(
         geometry, element_model, profile, waveform_template, m, grid, normalization

@@ -13,8 +13,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .circuit import ReflectionPair
 
 
@@ -52,6 +50,8 @@ class ModulationWaveform:
 
     def gamma_at(self, t):
         """Piecewise reflection state at time(s) t (pulse wraps across T0)."""
+        import numpy as np
+
         g1, g2 = self.pair.gamma_on, self.pair.gamma_off
         phase = np.asarray(t, dtype=float) % self.period
         end = self.tau + self.t_pw
@@ -103,6 +103,8 @@ def fourier_coefficients_numeric(w: ModulationWaveform, harmonics, steps: int = 
     midpoint interval straddles a switch edge.  The phasor samples of the
     fundamental are reused for every order.
     """
+    import numpy as np
+
     if steps < 1000:
         raise ValueError(f"steps must be >= 1000, got {steps}")
     harmonics = [int(m) for m in harmonics]
@@ -130,6 +132,8 @@ def fourier_coefficients_numeric(w: ModulationWaveform, harmonics, steps: int = 
 
 def reconstruct_gamma(w: ModulationWaveform, t, max_harmonic: int):
     """Partial Fourier sum of the reflection trajectory at time(s) t."""
+    import numpy as np
+
     if max_harmonic < 1:
         raise ValueError(f"max_harmonic must be >= 1, got {max_harmonic}")
     ms = np.arange(-max_harmonic, max_harmonic + 1)

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .circuit import ReflectionPair
 
 DEFAULT_TICKS_PER_PERIOD = 360
@@ -43,6 +41,8 @@ class SwitchSchedule:
         object.__setattr__(
             self, "channels", tuple((int(r), int(f)) for r, f in self.channels)
         )
+        if not self.channels:
+            raise ValueError("a schedule needs at least one channel")
 
     @property
     def period(self) -> float:
@@ -97,6 +97,8 @@ def schedule_roundtrip_phases(s: SwitchSchedule) -> list[float]:
 
 def sample_levels(s: SwitchSchedule, t):
     """Logic level (0/1) of every channel at time(s) t."""
+    import numpy as np
+
     pos = (np.asarray(t, dtype=float) % s.period) * s.f0 * s.ticks_per_period
     half = s.ticks_per_period / 2.0
     out = []
@@ -109,22 +111,23 @@ def sample_levels(s: SwitchSchedule, t):
 
 def sample_gamma(s: SwitchSchedule, t, pair: ReflectionPair, channel: int = 0):
     """Reflection state driven by one channel: high -> pulse state (gamma_off)."""
+    import numpy as np
+
     level = sample_levels(s, t)[channel]
     return np.where(np.asarray(level, dtype=bool), pair.gamma_off, pair.gamma_on)
 
 
-def tick_table(s: SwitchSchedule) -> np.ndarray:
-    """0/1 level table of shape (ticks_per_period, channels)."""
-    ticks = np.arange(s.ticks_per_period)
-    half = s.ticks_per_period // 2
-    cols = [((ticks - rise) % s.ticks_per_period < half).astype(int) for rise, _ in s.channels]
-    return np.stack(cols, axis=1)
-
-
 def tick_table_text(s: SwitchSchedule) -> str:
-    """Flat firmware-ingestion format: one row per tick, one 0/1 per channel."""
-    table = tick_table(s)
-    return "\n".join(" ".join(str(v) for v in row) for row in table) + "\n"
+    """Flat firmware-ingestion format: one row per tick, one 0/1 per channel.
+
+    A channel is high for the half period starting at its rise tick.
+    """
+    n, half = s.ticks_per_period, s.ticks_per_period // 2
+    rows = (
+        " ".join("1" if (tick - rise) % n < half else "0" for rise, _fall in s.channels)
+        for tick in range(n)
+    )
+    return "\n".join(rows) + "\n"
 
 
 def schedule_doc(s: SwitchSchedule) -> dict:

@@ -214,6 +214,16 @@ def test_compare_missing_profile_metadata_exits_2(capsys, tmp_path):
     assert "psi_deg" in err
 
 
+def test_compare_underflowing_column_exits_2_naming_it(capsys, tmp_path):
+    p = tmp_path / "sweep.csv"
+    p.write_text(
+        "#psi_deg=0,0,0,0\nazimuth_deg,p_plus1_dbm,p_minus1_dbm\n0,-7000,-42\n10,-7000,-41\n"
+    )
+    code, _, err = run(capsys, "compare", str(p))
+    assert code == 2
+    assert "p_plus1_dbm" in err and "Warning" not in err
+
+
 def test_output_is_deterministic(capsys, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):

@@ -4,10 +4,17 @@ The digests pin every subcommand, both output formats where a subcommand
 offers them, and the reference config.  They change only when an output
 is meant to change.  `steer --method search` is left out: its float
 `achieved_field_magnitude` depends on the summation order of the field.
+
+Each argv runs twice: through cli.main in this process, and through
+`python -m risbeam.cli` in a fresh interpreter, where a subcommand that
+misses one of its imports fails instead of finding the module already loaded.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +25,7 @@ from risbeam.compare import format_measured_sweep, synthesize_measured_sweep
 from risbeam.farfield import ArrayGeometry, ElementPatternModel
 from risbeam.modulation import ModulationWaveform
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 REFERENCE_CONFIG = {"geometry": {"n_cols": 4}, "element_model": {"kind": "cosine_power"}}
 
 GOLDEN = {
@@ -67,12 +75,27 @@ def workdir(tmp_path, monkeypatch):
     return tmp_path
 
 
+def assert_digest(command, stdout: bytes):
+    argv = command.split()
+    if "--out" in argv:
+        assert stdout == b""
+        stdout = Path(argv[argv.index("--out") + 1]).read_bytes()
+    assert hashlib.sha256(stdout).hexdigest() == GOLDEN[command]
+
+
 @pytest.mark.parametrize("command", list(GOLDEN))
 def test_cli_output_digest(command, workdir, capsys):
-    argv = command.split()
-    assert main(argv) == 0
-    out = capsys.readouterr().out.encode()
-    if "--out" in argv:
-        assert out == b""
-        out = Path(argv[argv.index("--out") + 1]).read_bytes()
-    assert hashlib.sha256(out).hexdigest() == GOLDEN[command]
+    assert main(command.split()) == 0
+    assert_digest(command, capsys.readouterr().out.encode())
+
+
+@pytest.mark.parametrize("command", list(GOLDEN))
+def test_cli_output_digest_in_fresh_process(command, workdir):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "risbeam.cli", *command.split()],
+        cwd=workdir, env=env, capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")[-2000:]
+    assert_digest(command, proc.stdout)

@@ -109,3 +109,11 @@ def test_unknown_harmonic_rejected():
     sweep = synthesize_measured_sweep(GEO, ISO, IDEAL, [0, 0, 0, 0])
     with pytest.raises(SweepFormatError):
         sweep.amplitudes(2)
+
+
+@pytest.mark.parametrize("column", ["p_plus1_dbm", "p_minus1_dbm"])
+def test_underflowing_column_is_format_error_naming_it(column):
+    sweep = synthesize_measured_sweep(GEO, ISO, IDEAL, [0, 270, 180, 90])
+    setattr(sweep, column, np.full_like(sweep.azimuth_deg, -7000.0))
+    with pytest.raises(SweepFormatError, match=column):
+        compare_sweep(sweep, GEO, ISO, IDEAL, [0, 270, 180, 90])

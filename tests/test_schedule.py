@@ -11,7 +11,6 @@ from risbeam.schedule import (
     sample_levels,
     schedule_doc,
     schedule_roundtrip_phases,
-    tick_table,
     tick_table_text,
 )
 
@@ -38,6 +37,11 @@ def test_first_catalog_profile_rise_ticks():
 def test_odd_ticks_rejected():
     with pytest.raises(ValueError):
         build_switch_schedule([0.0], F0, 361)
+
+
+def test_empty_profile_rejected():
+    with pytest.raises(ValueError, match="at least one channel"):
+        build_switch_schedule([], F0, 360)
 
 
 def test_roundtrip_exact_at_aligned_resolution():
@@ -100,13 +104,20 @@ def test_tick_timing_at_reference_frequency():
 
 def test_tick_table_duty_and_shape():
     s = build_switch_schedule([0, 270, 180, 90], F0, 360)
-    table = tick_table(s)
-    assert table.shape == (360, 4)
-    assert np.all(table.sum(axis=0) == 180)
-    assert table[0, 0] == 1 and table[180, 0] == 0
-    assert table[270, 1] == 1 and table[89, 1] == 1 and table[90, 1] == 0
-    text = tick_table_text(s)
-    assert len(text.strip().splitlines()) == 360
+    table = [[int(v) for v in row.split()] for row in tick_table_text(s).splitlines()]
+    assert len(table) == 360 and all(len(row) == 4 for row in table)
+    assert [sum(col) for col in zip(*table)] == [180] * 4
+    assert table[0][0] == 1 and table[180][0] == 0
+    assert table[270][1] == 1 and table[89][1] == 1 and table[90][1] == 0
+
+
+def test_tick_table_rows_are_levels_at_tick_centres():
+    rng = np.random.default_rng(37)
+    for ticks in (2, 36, 100, 360):
+        s = build_switch_schedule(rng.uniform(0, 360, size=5), F0, ticks)
+        rows = [[int(v) for v in row.split()] for row in tick_table_text(s).splitlines()]
+        centres = (np.arange(ticks) + 0.5) / (F0 * ticks)
+        assert rows == np.array(sample_levels(s, centres)).T.tolist()
 
 
 def test_sample_levels_scalar():
