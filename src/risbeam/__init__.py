@@ -44,11 +44,8 @@ _EXPORTS = {
     ),
     "modulation": (
         "ModulationWaveform",
-        "delay_from_phase",
         "fourier_coefficient",
         "fourier_coefficients_numeric",
-        "phase_from_delay",
-        "reconstruct_gamma",
     ),
     "schedule": (
         "SwitchSchedule",

@@ -4,7 +4,8 @@ Configuration is JSON (see README); CONFIG_KEYS lists every key.  Outputs are
 deterministic: export headers carry a hash of the configuration file instead
 of timestamps.  Each subcommand imports only the package modules it uses, so
 the ones that compute no arrays never load numpy.
-Exit codes: 0 success, 2 validation error, 3 I/O error.
+Warnings go to stderr as one `warning: <message>` line each, before any
+`error:` line.  Exit codes: 0 success, 2 validation error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import hashlib
 import json
 import math
 import sys
+import warnings
 from dataclasses import replace
 
 PHASE_BAND_CENTER_DEG = 180.0
@@ -282,7 +284,7 @@ def cmd_gamma(args, cfg):
         )
     if doc["differential_magnitude"] < 1e-9:
         doc["warning"] = "no modulation contrast (identical reflection states)"
-        print("warning: no modulation contrast", file=sys.stderr)
+        warnings.warn("no modulation contrast")
     return doc, _lines(f"{k}={v}" for k, v in doc.items())
 
 
@@ -336,7 +338,7 @@ def cmd_pattern(args, cfg):
     }
     if not pattern.magnitude.any():
         meta["zero_pattern"] = "true (harmonic carries no power for this waveform)"
-        print(f"warning: harmonic {args.harmonic} pattern is identically zero", file=sys.stderr)
+        warnings.warn(f"harmonic {args.harmonic} pattern is identically zero")
     return farfield.pattern_doc(pattern, meta), farfield.pattern_csv(pattern, meta)
 
 
@@ -510,24 +512,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, *_):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        doc, text = args.func(args, load_config(getattr(args, "config", None)))
-        if getattr(args, "format", "doc") == "doc":
-            text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return EXIT_OK
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    with warnings.catch_warnings():
+        # each UserWarning prints, repeats included, as it is raised, so before
+        # any error line; other filters (such as error::RuntimeWarning) still apply
+        warnings.simplefilter("always", UserWarning)
+        warnings.showwarning = _print_warning
+        try:
+            doc, text = args.func(args, load_config(getattr(args, "config", None)))
+            if getattr(args, "format", "doc") == "doc":
+                text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            if args.out:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            else:
+                sys.stdout.write(text)
+            return EXIT_OK
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_IO
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

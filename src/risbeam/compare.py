@@ -161,9 +161,7 @@ def synthesize_measured_sweep(
             mags > 0.0, 20.0 * np.log10(np.where(mags > 0.0, mags, 1.0)), ZERO_FLOOR_DBM
         )
     meta = dict(metadata or {})
-    meta.setdefault(
-        "psi_deg", ",".join(f"{float(p):.10g}" for p in getattr(profile, "phases_deg", profile))
-    )
+    meta.setdefault("psi_deg", ",".join(f"{float(p):.10g}" for p in profile))
     return MeasuredSweep(grid, cols[1], cols[-1], meta)
 
 
@@ -236,7 +234,7 @@ def compare_sweep(
                 nrms_front=float(math.sqrt(np.mean((pred[front] - meas[front]) ** 2))),
             )
         )
-    phases = tuple(float(p) for p in getattr(profile, "phases_deg", profile))
+    phases = tuple(float(p) for p in profile)
     return ComparisonReport(profile_psi_deg=phases, grid_step_deg=step, harmonics=tuple(entries))
 
 

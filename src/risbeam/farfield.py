@@ -1,8 +1,10 @@
 """Far-field harmonic scattering patterns of a modulated element grid.
 
 The grid is M x N elements in the x-y plane under normal plane-wave
-excitation.  Azimuth convention: 90 deg is front broadside (toward the
-transmitter), 270 deg back broadside, 0/180 deg the surface plane.
+excitation.  Patterns are taken on the azimuth cut (elevation 90 deg), the
+plane through the x axis and the surface normal.  Azimuth convention: 90 deg
+is front broadside (toward the transmitter), 270 deg back broadside, 0/180
+deg the surface plane.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .modulation import ModulationWaveform, delay_from_phase, fourier_coefficient
+from .modulation import ModulationWaveform, fourier_coefficient
 
 # numpy is imported inside the functions that build arrays, so importing this
 # module does not load it; annotations naming np are never evaluated.
@@ -102,17 +104,15 @@ class ElementPatternModel:
 
 
 def element_delay(psi_deg: float, f0: float) -> float:
-    """Waveform delay realizing baseband phase psi.
+    """Waveform delay in [0, T0) realizing baseband phase psi.
 
     Convention: the element's m-th harmonic coefficient gains phase
     +m*psi, i.e. psi acts as a phase advance of the harmonic coefficient.
     """
-    return delay_from_phase((-psi_deg) % 360.0, f0)
-
-
-def _profile_phases(profile):
-    phases = getattr(profile, "phases_deg", profile)
-    return [float(p) for p in phases]
+    if f0 <= 0.0:
+        raise ValueError(f"f0 must be positive, got {f0}")
+    # the second reduction maps a tiny psi to 0: (-1e-20) % 360.0 == 360.0
+    return ((((-psi_deg) % 360.0) % 360.0) / 360.0) / f0
 
 
 def harmonic_field(
@@ -122,19 +122,18 @@ def harmonic_field(
     waveform_template: ModulationWaveform,
     m: int,
     azimuth_deg,
-    elevation_deg: float = 90.0,
-    amplitude: float = 1.0,
 ):
     """Complex far field of the m-th harmonic at the given azimuth(s).
 
-    profile is a PhaseProfile or plain sequence of per-element baseband
-    phases in degrees, ordered x-fastest (row by row).  Each element's
-    harmonic coefficient is the waveform template re-delayed per
-    element_delay.  Elevation defaults to the azimuth cut (90 deg).
+    profile is any sequence of per-element baseband phases in degrees (a
+    PhaseProfile iterates over its phases), ordered x-fastest (row by row).
+    Each element's harmonic coefficient is the waveform template re-delayed
+    per element_delay.  On the azimuth cut the y direction cosine is zero,
+    so the rows add in phase and only the column index sets the path phase.
     """
     import numpy as np
 
-    phases = _profile_phases(profile)
+    phases = [float(p) for p in profile]
     if len(phases) != geometry.element_count:
         raise ValueError(
             f"profile has {len(phases)} phases for {geometry.element_count} elements"
@@ -150,22 +149,10 @@ def harmonic_field(
         ]
     )
     k = 2.0 * math.pi / geometry.lambda_c
-    sin_theta = math.sin(math.radians(elevation_deg))
-    pp, qq = np.meshgrid(np.arange(geometry.n_cols), np.arange(geometry.m_rows))
-    p_idx, q_idx = pp.ravel().astype(float), qq.ravel().astype(float)
+    p_idx = np.tile(np.arange(geometry.n_cols, dtype=float), geometry.m_rows)
     phi = np.radians(np.atleast_1d(az))
-    spatial = np.exp(
-        1j
-        * k
-        * sin_theta
-        * (
-            p_idx[:, None] * geometry.dx * np.cos(phi)[None, :]
-            + q_idx[:, None] * geometry.dy * np.sin(phi)[None, :]
-        )
-    )
-    total = amplitude * element_model.eval(np.atleast_1d(az)) * (
-        coeffs[:, None] * spatial
-    ).sum(axis=0)
+    spatial = np.exp(1j * k * (p_idx[:, None] * geometry.dx * np.cos(phi)[None, :]))
+    total = element_model.eval(np.atleast_1d(az)) * (coeffs[:, None] * spatial).sum(axis=0)
     return complex(total[0]) if np.ndim(azimuth_deg) == 0 else total
 
 

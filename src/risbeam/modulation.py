@@ -128,30 +128,3 @@ def fourier_coefficients_numeric(w: ModulationWaveform, harmonics, steps: int = 
                 s = s.conjugate()
             out[m] += g * h * s
     return {m: v / w.period for m, v in out.items()}
-
-
-def reconstruct_gamma(w: ModulationWaveform, t, max_harmonic: int):
-    """Partial Fourier sum of the reflection trajectory at time(s) t."""
-    import numpy as np
-
-    if max_harmonic < 1:
-        raise ValueError(f"max_harmonic must be >= 1, got {max_harmonic}")
-    ms = np.arange(-max_harmonic, max_harmonic + 1)
-    cs = np.array([fourier_coefficient(w, int(m)) for m in ms])
-    tt = np.asarray(t, dtype=float)
-    vals = (cs * np.exp(2j * np.pi * ms * w.f0 * tt[..., None])).sum(axis=-1)
-    return complex(vals) if np.ndim(t) == 0 else vals
-
-
-def phase_from_delay(tau: float, f0: float) -> float:
-    """Baseband phase (degrees in [0, 360)) equivalent to a time delay."""
-    if f0 <= 0.0:
-        raise ValueError(f"f0 must be positive, got {f0}")
-    return (360.0 * f0 * tau) % 360.0
-
-
-def delay_from_phase(psi_deg: float, f0: float) -> float:
-    """Time delay in [0, T0) equivalent to a baseband phase in degrees."""
-    if f0 <= 0.0:
-        raise ValueError(f"f0 must be positive, got {f0}")
-    return ((psi_deg % 360.0) / 360.0) / f0

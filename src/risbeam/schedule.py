@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from .circuit import ReflectionPair
 
 DEFAULT_TICKS_PER_PERIOD = 360
-DEFAULT_AMPLITUDE_V = 3.3
+# Logic-high level of the controller outputs; schedule_doc reports it.
+AMPLITUDE_V = 3.3
 
 
 class ScheduleStructureError(ValueError):
@@ -29,7 +30,6 @@ class SwitchSchedule:
     f0: float
     ticks_per_period: int
     channels: tuple
-    amplitude_v: float = DEFAULT_AMPLITUDE_V
 
     def __post_init__(self):
         if not (self.f0 > 0.0 and math.isfinite(self.f0)):
@@ -57,24 +57,17 @@ def build_switch_schedule(
     profile,
     f0: float,
     ticks_per_period: int = DEFAULT_TICKS_PER_PERIOD,
-    amplitude_v: float = DEFAULT_AMPLITUDE_V,
 ) -> SwitchSchedule:
     """Map profile phases to rise/fall ticks (rise = round-half-up of psi)."""
     if ticks_per_period < 2 or ticks_per_period % 2 != 0:
         raise ValueError(f"ticks_per_period must be even and >= 2, got {ticks_per_period}")
-    phases = getattr(profile, "phases_deg", profile)
     half = ticks_per_period // 2
     channels = []
-    for psi in phases:
+    for psi in profile:
         rise = math.floor((float(psi) % 360.0) * ticks_per_period / 360.0 + 0.5)
         rise %= ticks_per_period
         channels.append((rise, (rise + half) % ticks_per_period))
-    return SwitchSchedule(
-        f0=f0,
-        ticks_per_period=ticks_per_period,
-        channels=tuple(channels),
-        amplitude_v=amplitude_v,
-    )
+    return SwitchSchedule(f0=f0, ticks_per_period=ticks_per_period, channels=tuple(channels))
 
 
 def schedule_roundtrip_phases(s: SwitchSchedule) -> list[float]:
@@ -135,6 +128,6 @@ def schedule_doc(s: SwitchSchedule) -> dict:
     return {
         "f0_hz": s.f0,
         "ticks_per_period": s.ticks_per_period,
-        "amplitude_v": s.amplitude_v,
+        "amplitude_v": AMPLITUDE_V,
         "channels": [{"rise_tick": r, "fall_tick": f} for r, f in s.channels],
     }

@@ -24,6 +24,8 @@ CONVENTION_TAG = "harmonic-coefficient-advance"
 FRONT_SECTOR = (50.0, 130.0)
 BACK_SECTOR = (230.0, 310.0)
 
+MAX_PASSES = 64
+
 
 class SectorWarning(UserWarning):
     """Steering target lies outside the element-beamwidth sectors."""
@@ -54,6 +56,9 @@ class PhaseProfile:
 
     def __len__(self):
         return len(self.phases_deg)
+
+    def __iter__(self):
+        return iter(self.phases_deg)
 
 
 def quantize_profile(raw_phases, resolution_deg: float = 1.0) -> PhaseProfile:
@@ -126,7 +131,6 @@ def optimize_profile_search(
     waveform_template: ModulationWaveform,
     element_model: ElementPatternModel,
     pinned_index: int = 0,
-    max_passes: int = 64,
 ) -> OptimizationResult:
     """Cyclic coordinate ascent over quantized per-element phases.
 
@@ -134,7 +138,7 @@ def optimize_profile_search(
     search starts from the gauge-shifted progressive-phase profile, so its
     objective can only match or exceed the closed form.  Stops after a full
     pass without improvement, or returns the best-so-far flagged
-    non-converged after max_passes.
+    non-converged after MAX_PASSES.
     """
     if req.harmonic == 0:
         raise ValueError("the carrier beam (m = 0) is not steerable by delay")
@@ -166,7 +170,7 @@ def optimize_profile_search(
     best = objective(phases)
     converged = False
     passes = 0
-    while passes < max_passes:
+    while passes < MAX_PASSES:
         passes += 1
         improved = False
         for i in range(n):

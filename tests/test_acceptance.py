@@ -15,6 +15,7 @@ from risbeam.farfield import (
     ArrayGeometry,
     ElementPatternModel,
     dominance_direction,
+    element_delay,
     harmonic_field,
     pattern_sweep,
 )
@@ -202,7 +203,6 @@ def test_criterion_7_optimizer_matches_brute_force():
 
 
 def test_criterion_8_schedule_round_trip():
-    from risbeam.modulation import delay_from_phase
     from risbeam.schedule import build_switch_schedule, sample_gamma, schedule_roundtrip_phases
 
     rng = np.random.default_rng(8)
@@ -212,7 +212,8 @@ def test_criterion_8_schedule_round_trip():
         assert schedule_roundtrip_phases(sched) == [float(p) for p in case.psi_deg]
         t = rng.uniform(0, 5.0 * T0, size=10_000)
         for ch, psi in enumerate(case.psi_deg):
-            w = ModulationWaveform(IDEAL.pair, f0=F0, tau=delay_from_phase(psi, F0))
+            # the schedule delays channel p by +psi; the far field models element_delay(psi)
+            w = ModulationWaveform(IDEAL.pair, f0=F0, tau=element_delay(-psi, F0))
             pos = (t % T0) * F0 * 360.0
             rise, fall = sched.channels[ch]
             near_edge = np.minimum(

@@ -166,6 +166,29 @@ def test_steer_search_method(capsys):
     assert doc["achieved_field_magnitude"] > 0
 
 
+@pytest.mark.parametrize("method", ["progressive", "search"])
+def test_out_of_sector_target_warns_on_one_line(capsys, method):
+    code, out, err = run(
+        capsys, "steer", "--target", "20", "--method", method, "--resolution", "10"
+    )
+    assert code == 0 and json.loads(out)["desired_azimuth_deg"] == 20.0
+    assert err == (
+        "warning: target 20.0 deg lies outside the element-beamwidth sectors "
+        "(50.0, 130.0) / (230.0, 310.0); steering quality degrades there\n"
+    )
+
+
+def test_warning_lines_come_before_the_error_line(capsys, tmp_path):
+    out_path = tmp_path / "missing" / "pattern.csv"
+    code, _, err = run(
+        capsys, "pattern", "--profile", "0,0,0,0", "--harmonic", "2", "--out", str(out_path)
+    )
+    assert code == 3
+    warning, error = err.splitlines()
+    assert warning == "warning: harmonic 2 pattern is identically zero"
+    assert error.startswith("error: ") and str(out_path) in error
+
+
 def test_schedule_doc_output(capsys):
     code, out, _ = run(
         capsys, "schedule", "--profile", "0,270,180,90", "--format", "doc"

@@ -100,7 +100,6 @@ def workdir(tmp_path_factory):
     return path
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(config=configs, argv=invocations())
 def test_cli_exits_0_2_or_3(workdir, config, argv):

@@ -18,8 +18,9 @@ from risbeam.farfield import (
     pattern_doc,
     pattern_sweep,
 )
-from risbeam.compare import synthesize_measured_sweep
+from risbeam.compare import compare_sweep, synthesize_measured_sweep
 from risbeam.modulation import ModulationWaveform, fourier_coefficient
+from risbeam.schedule import build_switch_schedule
 from risbeam.steering import quantize_profile
 
 F0 = 313.0
@@ -191,14 +192,6 @@ def test_global_phase_invariance():
         assert np.max(np.abs(got - ref)) <= 1e-9 * ref.max()
 
 
-def test_amplitude_scaling_is_linear():
-    grid = np.arange(0.0, 360.0, 5.0)
-    one = np.abs(harmonic_field(GEO, ISO, [0, 30, 60, 90], IDEAL, 1, grid, amplitude=1.0))
-    two = np.abs(harmonic_field(GEO, ISO, [0, 30, 60, 90], IDEAL, 1, grid, amplitude=2.0))
-    nz = one > 0
-    assert np.max(np.abs(two[nz] / one[nz] - 2.0)) < 1e-12
-
-
 def test_broadside_array_enhancement():
     quad = abs(harmonic_field(GEO, ISO, [0, 0, 0, 0], IDEAL, 1, 90.0))
     single = abs(
@@ -206,6 +199,76 @@ def test_broadside_array_enhancement():
     )
     gain_db = 20.0 * math.log10(quad / single)
     assert gain_db == pytest.approx(20.0 * math.log10(4.0), abs=1e-6)
+
+
+def planar(n_cols, m_rows, dx_wl=0.5, dy_wl=0.5):
+    lam = GEO.lambda_c
+    return ArrayGeometry(n_cols, m_rows, dx=dx_wl * lam, dy=dy_wl * lam, lambda_c=lam)
+
+
+grids = st.tuples(st.integers(1, 4), st.integers(1, 4))
+spacings = st.floats(0.1, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    size=grids,
+    dx_wl=spacings,
+    dy_wl=spacings,
+    model=st.sampled_from([ISO, COS]),
+    m=st.sampled_from([1, -1, 3, -3]),
+    psi=st.lists(st.floats(0.0, 359.0), min_size=16, max_size=16),
+)
+@example(
+    size=(4, 2), dx_wl=0.5, dy_wl=0.5, model=ISO, m=1,
+    psi=[0.0, 90.0, 180.0, 270.0, 45.0, 135.0, 225.0, 315.0] * 2,
+)
+def test_mirror_symmetry_holds_for_every_grid(size, dx_wl, dy_wl, model, m, psi):
+    # |F(phi)| == |F(360 - phi)| for any MxN grid and profile
+    geo = planar(*size, dx_wl, dy_wl)
+    psi = psi[: geo.element_count]
+    grid = np.arange(0.0, 360.0, 5.0)
+    a = np.abs(harmonic_field(geo, model, psi, REALISTIC, m, grid))
+    b = np.abs(harmonic_field(geo, model, psi, REALISTIC, m, (360.0 - grid) % 360.0))
+    assert np.max(np.abs(a - b)) <= 1e-9 * a.max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=grids, dx_wl=spacings, dy_wl=spacings, psi=st.floats(0.0, 359.0),
+       m=st.sampled_from([1, -1, 3, -3]))
+@example(size=(4, 2), dx_wl=0.5, dy_wl=0.5, psi=0.0, m=1)
+def test_in_phase_broadside_gain_is_element_count(size, dx_wl, dy_wl, psi, m):
+    # an in-phase isotropic MxN array gains 20*log10(M*N) over one element at broadside
+    geo = planar(*size, dx_wl, dy_wl)
+    n = geo.element_count
+    array = abs(harmonic_field(geo, ISO, [psi] * n, REALISTIC, m, 90.0))
+    single = abs(harmonic_field(planar(1, 1), ISO, [psi], REALISTIC, m, 90.0))
+    assert 20.0 * math.log10(array / single) == pytest.approx(20.0 * math.log10(n), abs=1e-9)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    raw=st.lists(st.integers(0, 359), min_size=4, max_size=4),
+    m=st.sampled_from([1, -1]),
+)
+def test_profile_forms_give_equal_results(raw, m):
+    # a PhaseProfile, its tuple and an array of its phases are read the same way
+    profile = quantize_profile(raw)
+    forms = (profile, profile.phases_deg, np.array(profile.phases_deg))
+    grid = np.arange(0.0, 360.0, 10.0)
+    fields = [harmonic_field(GEO, COS, f, REALISTIC, m, grid) for f in forms]
+    patterns = [pattern_sweep(GEO, COS, f, REALISTIC, m, 10.0).magnitude for f in forms]
+    schedules = [build_switch_schedule(f, F0) for f in forms]
+    sweeps = [synthesize_measured_sweep(GEO, COS, REALISTIC, f) for f in forms]
+    reports = [compare_sweep(sweeps[0], GEO, COS, REALISTIC, f) for f in forms]
+    for got in fields, patterns:
+        assert all(np.array_equal(g, got[0]) for g in got)
+    for got in schedules, reports:
+        assert all(g == got[0] for g in got)
+    for sweep in sweeps:
+        assert sweep.metadata == sweeps[0].metadata
+        for column in ("p_plus1_dbm", "p_minus1_dbm"):
+            assert np.array_equal(getattr(sweep, column), getattr(sweeps[0], column))
 
 
 def test_pattern_csv_roundtrippable():

@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from risbeam.circuit import ReflectionPair
+from risbeam.farfield import element_delay
 from risbeam.modulation import (
     ModulationWaveform,
-    delay_from_phase,
     fourier_coefficient,
     fourier_coefficients_numeric,
-    phase_from_delay,
-    reconstruct_gamma,
 )
 
 F0 = 313.0
@@ -120,23 +118,6 @@ def test_parseval_deficit_small_at_999_harmonics():
     assert 1.0 - total < 1e-3
 
 
-def test_reconstruct_pulse_interior():
-    # tau = 0: the pulse state (-1) occupies [0, T0/2)
-    val = reconstruct_gamma(IDEAL, T0 / 4.0, 99)
-    assert abs(val - (-1.0)) < 0.02
-
-
-def test_reconstruct_edge_hits_gibbs_midpoint():
-    val = reconstruct_gamma(IDEAL, 0.0, 999)
-    assert abs(val - 0.0) < 0.05
-
-
-def test_reconstruct_constant_waveform_exact():
-    g = 0.3 - 0.2j
-    w = ModulationWaveform(ReflectionPair(g, g), f0=F0)
-    assert reconstruct_gamma(w, 0.123 * T0, 5) == pytest.approx(g, abs=1e-12)
-
-
 def test_gamma_at_state_layout():
     w = ModulationWaveform(ReflectionPair(1.0, -1.0), f0=F0, tau=0.25 * T0, t_pw=0.5 * T0)
     assert w.gamma_at(0.1 * T0) == 1.0
@@ -150,13 +131,17 @@ def test_gamma_at_state_layout():
 
 
 def test_phase_delay_conversions():
-    assert phase_from_delay(T0 / 4.0, F0) == pytest.approx(90.0)
-    assert phase_from_delay(0.0, F0) == 0.0
-    assert delay_from_phase(270.0, F0) == pytest.approx(0.75 / 313.0, abs=1e-15)
+    # a phase advance psi is a delay of (360 - psi) / 360 periods
+    assert element_delay(90.0, F0) == 0.75 / 313.0
+    assert element_delay(0.0, F0) == 0.0
+    # (-1e-20) % 360.0 rounds to 360.0; the delay must still lie in [0, T0)
+    assert element_delay(1e-20, F0) == 0.0
     for psi in np.linspace(0, 359.9, 25):
-        assert phase_from_delay(delay_from_phase(float(psi), F0), F0) == pytest.approx(
-            float(psi), abs=1e-9
-        )
+        tau = element_delay(float(psi), F0)
+        assert 0.0 <= tau < T0
+        ModulationWaveform(IDEAL.pair, f0=F0, tau=tau)
+    with pytest.raises(ValueError, match="f0 must be positive"):
+        element_delay(90.0, 0.0)
 
 
 def test_waveform_validation():

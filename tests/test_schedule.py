@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from risbeam.circuit import ReflectionPair
-from risbeam.modulation import ModulationWaveform, delay_from_phase
+from risbeam.farfield import element_delay
+from risbeam.modulation import ModulationWaveform
 from risbeam.schedule import (
     ScheduleStructureError,
     SwitchSchedule,
@@ -83,7 +84,8 @@ def test_schedule_reproduces_waveform_states():
     s = build_switch_schedule(psi, F0, 360)
     t = rng.uniform(0, 3.0 / F0, size=2000)
     for ch, phase in enumerate(psi):
-        w = ModulationWaveform(PAIR, f0=F0, tau=delay_from_phase(phase, F0))
+        # the schedule delays channel p by +psi; the far field models element_delay(psi)
+        w = ModulationWaveform(PAIR, f0=F0, tau=element_delay(-phase, F0))
         # skip samples too close to a switch edge
         pos = (t % w.period) * F0 * 360.0
         near_edge = np.minimum(
