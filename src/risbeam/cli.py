@@ -373,6 +373,10 @@ def cmd_steer(args, cfg):
 def cmd_schedule(args, cfg):
     from . import schedule
 
+    if cfg["waveform.duty"] != 0.5:
+        raise ConfigError(
+            f"waveform.duty: schedule realizes a 50% duty only, got {cfg['waveform.duty']}"
+        )
     profile = _parse_profile_arg(args)
     f0, f0_field = _flag_or_config(args.f0, "--f0", cfg, "waveform.f0_hz")
     ticks = schedule.DEFAULT_TICKS_PER_PERIOD if args.ticks is None else args.ticks

@@ -1,8 +1,9 @@
 """Per-element on-off switch schedules realizing a phase profile.
 
 A controller running the baseband at f0 divides each period into ticks;
-channel p rises at the tick nearest its profile phase and falls half a
-period later (50% duty).  Logic high maps to the pulse reflection state
+channel p rises at the tick nearest the delay farfield.element_delay gives
+its profile phase psi, i.e. at (-psi mod 360) * ticks / 360, and falls half
+a period later (50% duty).  Logic high maps to the pulse reflection state
 (pair.gamma_off); swapping that mapping only flips the sign of the state
 difference, a global phase with no effect on pattern magnitudes.
 """
@@ -58,13 +59,13 @@ def build_switch_schedule(
     f0: float,
     ticks_per_period: int = DEFAULT_TICKS_PER_PERIOD,
 ) -> SwitchSchedule:
-    """Map profile phases to rise/fall ticks (rise = round-half-up of psi)."""
+    """Map profile phases to rise/fall ticks (rise = round-half-up of -psi mod 360)."""
     if ticks_per_period < 2 or ticks_per_period % 2 != 0:
         raise ValueError(f"ticks_per_period must be even and >= 2, got {ticks_per_period}")
     half = ticks_per_period // 2
     channels = []
     for psi in profile:
-        rise = math.floor((float(psi) % 360.0) * ticks_per_period / 360.0 + 0.5)
+        rise = math.floor(((-float(psi)) % 360.0) * ticks_per_period / 360.0 + 0.5)
         rise %= ticks_per_period
         channels.append((rise, (rise + half) % ticks_per_period))
     return SwitchSchedule(f0=f0, ticks_per_period=ticks_per_period, channels=tuple(channels))
@@ -84,7 +85,7 @@ def schedule_roundtrip_phases(s: SwitchSchedule) -> list[float]:
             raise ScheduleStructureError(
                 f"channel {ch!r} is not a 50% duty rise/fall pair"
             )
-        phases.append(rise * 360.0 / s.ticks_per_period)
+        phases.append((-rise) % s.ticks_per_period * 360.0 / s.ticks_per_period)
     return phases
 
 

@@ -1,8 +1,8 @@
 """Baseband phase-profile synthesis for steering harmonic beams.
 
 Two solvers target the same objective (maximum |F_m| toward a desired
-azimuth): a closed-form progressive-phase rule for uniform linear arrays
-and a quantized cyclic coordinate-ascent search.
+azimuth): a closed-form progressive-phase rule, tiled over the rows of a
+planar grid, and a quantized cyclic coordinate-ascent search started from it.
 
 Sign convention (CONVENTION_TAG): a profile phase psi_p advances the
 element's m-th harmonic coefficient by +m*psi_p; see farfield.element_delay.
@@ -37,7 +37,6 @@ class PhaseProfile:
 
     phases_deg: tuple
     resolution_deg: float = 1.0
-    convention_tag: str = CONVENTION_TAG
 
     def __post_init__(self):
         steps_per_turn(self.resolution_deg, "resolution")
@@ -84,13 +83,9 @@ class SteeringRequest:
             raise ValueError(f"desired_azimuth_deg must be finite, got {self.desired_azimuth_deg}")
 
 
-def in_measured_sector(azimuth_deg: float) -> bool:
-    az = azimuth_deg % 360.0
-    return FRONT_SECTOR[0] <= az <= FRONT_SECTOR[1] or BACK_SECTOR[0] <= az <= BACK_SECTOR[1]
-
-
 def _warn_if_outside_sector(azimuth_deg: float):
-    if not in_measured_sector(azimuth_deg):
+    az = azimuth_deg % 360.0
+    if not (FRONT_SECTOR[0] <= az <= FRONT_SECTOR[1] or BACK_SECTOR[0] <= az <= BACK_SECTOR[1]):
         warnings.warn(
             f"target {azimuth_deg} deg lies outside the element-beamwidth sectors "
             f"{FRONT_SECTOR} / {BACK_SECTOR}; steering quality degrades there",
@@ -100,22 +95,22 @@ def _warn_if_outside_sector(azimuth_deg: float):
 
 
 def progressive_phase_profile(req: SteeringRequest) -> PhaseProfile:
-    """Closed-form linear-array profile steering the m-th harmonic.
+    """Closed-form profile steering the m-th harmonic.
 
     psi_p = -sign(m) * 360 * (dx / lambda_c) * (p - 1) * cos(phi_target),
-    reduced mod 360 and quantized half-up to the requested resolution.
+    reduced mod 360 and quantized half-up to the requested resolution.  On
+    the azimuth cut the rows add in phase, so an MxN grid repeats the row
+    profile once per row (x-fastest).
     """
     if req.harmonic == 0:
         raise ValueError("the carrier beam (m = 0) is not steerable by delay")
-    if req.geometry.m_rows != 1:
-        raise ValueError("progressive-phase synthesis supports single-row arrays only")
     _warn_if_outside_sector(req.desired_azimuth_deg)
     sign = 1.0 if req.harmonic > 0 else -1.0
     slope = -sign * 360.0 * (req.geometry.dx / req.geometry.lambda_c) * math.cos(
         math.radians(req.desired_azimuth_deg)
     )
     raw = [(slope * p) % 360.0 for p in range(req.geometry.n_cols)]
-    return quantize_profile(raw, req.resolution_deg)
+    return quantize_profile(raw * req.geometry.m_rows, req.resolution_deg)
 
 
 @dataclass(frozen=True)
@@ -130,33 +125,16 @@ def optimize_profile_search(
     req: SteeringRequest,
     waveform_template: ModulationWaveform,
     element_model: ElementPatternModel,
-    pinned_index: int = 0,
 ) -> OptimizationResult:
     """Cyclic coordinate ascent over quantized per-element phases.
 
-    One element is pinned at 0 deg to remove the global-phase gauge.  The
-    search starts from the gauge-shifted progressive-phase profile, so its
-    objective can only match or exceed the closed form.  Stops after a full
-    pass without improvement, or returns the best-so-far flagged
-    non-converged after MAX_PASSES.
+    The search starts from the progressive-phase profile, so its objective
+    can only match or exceed the closed form.  Element 0 keeps that start's
+    0 deg, which removes the global-phase gauge.  Stops after a full pass
+    without improvement, or returns the best-so-far flagged non-converged
+    after MAX_PASSES.
     """
-    if req.harmonic == 0:
-        raise ValueError("the carrier beam (m = 0) is not steerable by delay")
-    n_levels = steps_per_turn(req.resolution_deg, "resolution")
-    n = req.geometry.element_count
-    if not 0 <= pinned_index < n:
-        raise ValueError(f"pinned_index {pinned_index} out of range for {n} elements")
-
-    if req.geometry.m_rows == 1:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", SectorWarning)
-            start = list(progressive_phase_profile(req).phases_deg)
-        offset = start[pinned_index]
-        phases = [(p - offset) % 360.0 for p in start]
-        phases = list(quantize_profile(phases, req.resolution_deg).phases_deg)
-    else:
-        phases = [0.0] * n
-    _warn_if_outside_sector(req.desired_azimuth_deg)
+    phases = list(progressive_phase_profile(req))
 
     def objective(ph):
         return abs(
@@ -166,16 +144,14 @@ def optimize_profile_search(
             )
         )
 
-    levels = [i * req.resolution_deg for i in range(n_levels)]
+    levels = [i * req.resolution_deg for i in range(steps_per_turn(req.resolution_deg))]
     best = objective(phases)
     converged = False
     passes = 0
     while passes < MAX_PASSES:
         passes += 1
         improved = False
-        for i in range(n):
-            if i == pinned_index:
-                continue
+        for i in range(1, len(phases)):
             current = phases[i]
             for cand in levels:
                 if cand == current:
@@ -239,5 +215,5 @@ def profile_doc(
         "phases_deg": list(profile.phases_deg),
         "harmonic": harmonic,
         "desired_azimuth_deg": desired_azimuth_deg,
-        "convention_tag": profile.convention_tag,
+        "convention_tag": CONVENTION_TAG,
     }

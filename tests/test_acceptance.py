@@ -212,8 +212,7 @@ def test_criterion_8_schedule_round_trip():
         assert schedule_roundtrip_phases(sched) == [float(p) for p in case.psi_deg]
         t = rng.uniform(0, 5.0 * T0, size=10_000)
         for ch, psi in enumerate(case.psi_deg):
-            # the schedule delays channel p by +psi; the far field models element_delay(psi)
-            w = ModulationWaveform(IDEAL.pair, f0=F0, tau=element_delay(-psi, F0))
+            w = ModulationWaveform(IDEAL.pair, f0=F0, tau=element_delay(psi, F0))
             pos = (t % T0) * F0 * 360.0
             rise, fall = sched.channels[ch]
             near_edge = np.minimum(

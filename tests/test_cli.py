@@ -196,7 +196,7 @@ def test_schedule_doc_output(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["f0_hz"] == 313.0
-    assert [c["rise_tick"] for c in doc["channels"]] == [0, 270, 180, 90]
+    assert [c["rise_tick"] for c in doc["channels"]] == [0, 90, 180, 270]
 
 
 def test_schedule_tick_table_output(capsys):
@@ -205,6 +205,42 @@ def test_schedule_tick_table_output(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 360
     assert lines[0] == "1 0"
+
+
+@pytest.mark.parametrize("duty", [0.3, 0.75])
+def test_schedule_refuses_a_duty_it_cannot_realize(capsys, tmp_path, duty):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"waveform": {"duty": duty}}))
+    code, out, err = run(capsys, "schedule", "--config", str(cfg), "--table2-row", "2")
+    assert code == 2 and out == ""
+    assert "waveform.duty" in err
+    cfg.write_text(json.dumps({"waveform": {"duty": 0.5}}))
+    code, out, _ = run(capsys, "schedule", "--config", str(cfg), "--table2-row", "2")
+    assert code == 0 and out
+
+
+def test_planar_steer_then_pattern_has_the_linear_dominance(capsys, tmp_path):
+    # a 2x4 grid steers with the 1x4 profile on every row; on the azimuth cut
+    # its peak-normalized pattern is the 1x4 one
+    planar, linear = tmp_path / "planar.json", tmp_path / "linear.json"
+    planar.write_text(json.dumps({"geometry": {"n_cols": 4, "m_rows": 2}}))
+    linear.write_text(json.dumps({"geometry": {"n_cols": 4}}))
+    for target, harmonic in (("60", "+1"), ("75", "-1"), ("110", "+1")):
+        peaks = []
+        for cfg in (planar, linear):
+            code, out, _ = run(
+                capsys, "steer", "--config", str(cfg), "--target", target,
+                "--harmonic", harmonic, "--resolution", "10",
+            )
+            assert code == 0
+            psi = ",".join(str(p) for p in json.loads(out)["phases_deg"])
+            code, out, _ = run(
+                capsys, "pattern", "--config", str(cfg), "--profile", psi,
+                "--resolution", "10", "--harmonic", harmonic,
+            )
+            assert code == 0
+            peaks.append(argmax_angles(out))
+        assert peaks[0] == peaks[1]
 
 
 def test_table2_lists_nine_rows(capsys):

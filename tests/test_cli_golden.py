@@ -45,9 +45,9 @@ GOLDEN = {
     "steer --config ref.json --target 63.5 --harmonic -1 --resolution 5":
         "59f1dac0d7947bc711bb92b38124f91c10c7702b8901ba2359c09df60886c0be",
     "schedule --config ref.json --table2-row 3":
-        "2e71211f480ede4b31a8ddac76fc26c132dada6e375300c351cdcdecdc33c910",
+        "aec721d480cf31e9746c076b9aea301e18f08a36d246b61c787b41f085c3b9ee",
     "schedule --profile 0,270,180,90 --format doc --ticks 36":
-        "8b6b21dd484c45d948e0cf15c7c0287e975fb427f212789cbfd72b2386ad3701",
+        "2d51fad6cf8ca6ead7f6a48f969e11cc24f4a6c0e77eef706684db7b7b356492",
     "compare --config ref.json sweep0.csv sweep1.csv":
         "8ba814b200e99491085a2aaa8f8f1a72ead1c5931f1eb638617c01c0893932f4",
     "compare sweep0.csv --format doc --out report.json":

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from risbeam.circuit import ReflectionPair
-from risbeam.farfield import element_delay
-from risbeam.modulation import ModulationWaveform
+from risbeam.farfield import (
+    ArrayGeometry,
+    ElementPatternModel,
+    HarmonicPattern,
+    dominance_direction,
+    element_delay,
+    pattern_sweep,
+)
+from risbeam.modulation import ModulationWaveform, fourier_coefficient
 from risbeam.schedule import (
     ScheduleStructureError,
     SwitchSchedule,
@@ -26,13 +34,13 @@ def test_in_phase_schedule():
 
 def test_anchor_profile_schedule():
     s = build_switch_schedule([0, 270, 180, 90], F0, 360)
-    assert [c[0] for c in s.channels] == [0, 270, 180, 90]
-    assert [c[1] for c in s.channels] == [180, 90, 0, 270]
+    assert [c[0] for c in s.channels] == [0, 90, 180, 270]
+    assert [c[1] for c in s.channels] == [180, 270, 0, 90]
 
 
 def test_first_catalog_profile_rise_ticks():
     s = build_switch_schedule([0, 244, 129, 13], F0, 360)
-    assert [c[0] for c in s.channels] == [0, 244, 129, 13]
+    assert [c[0] for c in s.channels] == [0, 116, 231, 347]
 
 
 def test_odd_ticks_rejected():
@@ -84,8 +92,7 @@ def test_schedule_reproduces_waveform_states():
     s = build_switch_schedule(psi, F0, 360)
     t = rng.uniform(0, 3.0 / F0, size=2000)
     for ch, phase in enumerate(psi):
-        # the schedule delays channel p by +psi; the far field models element_delay(psi)
-        w = ModulationWaveform(PAIR, f0=F0, tau=element_delay(-phase, F0))
+        w = ModulationWaveform(PAIR, f0=F0, tau=element_delay(phase, F0))
         # skip samples too close to a switch edge
         pos = (t % w.period) * F0 * 360.0
         near_edge = np.minimum(
@@ -96,6 +103,42 @@ def test_schedule_reproduces_waveform_states():
         got = sample_gamma(s, t[keep], PAIR, channel=ch)
         want = w.gamma_at(t[keep])
         assert np.array_equal(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ticks=st.sampled_from([36, 360]),
+    steps=st.lists(st.integers(0, 359), min_size=1, max_size=8),
+    m=st.sampled_from([1, -1, 2, -2, 3, -3]),
+)
+@example(ticks=360, steps=[0, 270, 180, 90], m=1)
+def test_sampled_schedule_drives_the_modelled_harmonics(ticks, steps, m):
+    # a tick-aligned profile: channel p switches exactly like element_delay(psi_p)
+    psi = [k % ticks * 360.0 / ticks for k in steps]
+    s = build_switch_schedule(psi, F0, ticks)
+    # 3600 midpoint samples per period; every switch edge lies between two samples,
+    # so the only quadrature error is a common sinc(pi m / 3600) factor
+    n = 3600
+    t = (np.arange(n) + 0.5) / (n * F0)
+    kernel = np.exp(-2j * np.pi * m * F0 * t)
+    sampled = [complex(np.mean(sample_gamma(s, t, PAIR, ch) * kernel)) for ch in range(len(psi))]
+    model = [
+        fourier_coefficient(ModulationWaveform(PAIR, f0=F0, tau=element_delay(p, F0)), m)
+        for p in psi
+    ]
+    assert np.max(np.abs(np.subtract(sampled, model))) <= 1e-6
+    if m % 2 == 0:
+        return  # even harmonics of a 50% duty waveform vanish: no dominance to compare
+    geo = ArrayGeometry.half_wavelength_linear(len(psi))
+    grid = np.arange(360.0)
+    path = np.exp(
+        1j * 2.0 * np.pi / geo.lambda_c * geo.dx
+        * np.arange(len(psi))[:, None] * np.cos(np.radians(grid))[None, :]
+    )
+    driven = HarmonicPattern(m, grid, np.abs((np.array(sampled)[:, None] * path).sum(axis=0)))
+    iso = ElementPatternModel.isotropic()
+    modelled = pattern_sweep(geo, iso, psi, ModulationWaveform(PAIR, f0=F0), m, 1.0)
+    assert dominance_direction(driven) == dominance_direction(modelled)
 
 
 def test_tick_timing_at_reference_frequency():
@@ -110,7 +153,8 @@ def test_tick_table_duty_and_shape():
     assert len(table) == 360 and all(len(row) == 4 for row in table)
     assert [sum(col) for col in zip(*table)] == [180] * 4
     assert table[0][0] == 1 and table[180][0] == 0
-    assert table[270][1] == 1 and table[89][1] == 1 and table[90][1] == 0
+    assert table[90][1] == 1 and table[269][1] == 1 and table[270][1] == 0
+    assert table[89][1] == 0
 
 
 def test_tick_table_rows_are_levels_at_tick_centres():
@@ -133,4 +177,4 @@ def test_schedule_doc_fields():
     doc = schedule_doc(s)
     assert doc["f0_hz"] == F0
     assert doc["ticks_per_period"] == 360
-    assert doc["channels"][1] == {"rise_tick": 244, "fall_tick": 64}
+    assert doc["channels"][1] == {"rise_tick": 116, "fall_tick": 296}
