@@ -25,11 +25,10 @@ PHASE_BAND_HALF_WIDTH_DEG = 12.0
 # Every config key: dotted name (section.key) -> (type, default).  Defaults
 # are the reference operating point of the 1x4 demonstrator (2.45 GHz
 # carrier, 313 Hz baseband).  A None default is derived from other keys
-# (lambda_c_m, dx_m, dy_m), is the library default (q_exponent: a 96 deg
-# half-power beamwidth) or means the key is unset (impedance_table).
+# (dx_m, dy_m), is the library default (q_exponent: a 96 deg half-power
+# beamwidth) or means the key is unset (impedance_table).
 CONFIG_KEYS = {
     "geometry.f_c_hz": (float, 2.45e9),
-    "geometry.lambda_c_m": (float, None),
     "geometry.n_cols": (int, 4),
     "geometry.m_rows": (int, 1),
     "geometry.dx_m": (float, None),
@@ -37,7 +36,6 @@ CONFIG_KEYS = {
     "element_model.kind": (str, "isotropic"),
     "element_model.q_exponent": (float, None),
     "waveform.impedance_table": (str, None),
-    "waveform.frequency_hz": (float, 2.45e9),
     "waveform.z_antenna": (complex, complex(46.85, -0.8)),
     "waveform.z_load_on": (complex, complex(2.99, 4.02)),
     "waveform.z_load_off": (complex, complex(96.27, -508.72)),
@@ -45,9 +43,8 @@ CONFIG_KEYS = {
     "waveform.gamma_off": (complex, complex(-1.0, 0.0)),
     "waveform.f0_hz": (float, 313.0),
     "waveform.duty": (float, 0.5),
-    "grid_step_deg": (float, 1.0),
 }
-_SECTIONS = {key.split(".")[0] for key in CONFIG_KEYS if "." in key}
+_SECTIONS = {key.split(".")[0] for key in CONFIG_KEYS}
 _TYPE_NAMES = {float: "a finite number", int: "an integer", str: "a string",
                complex: "a [re, im] pair of finite numbers"}
 
@@ -105,11 +102,10 @@ def load_config(path: str | None) -> Config:
     items = []
     for name, body in raw.items():
         if name not in _SECTIONS:
-            items.append((name, body))
-        elif isinstance(body, dict):
-            items += [(f"{name}.{key}", value) for key, value in body.items()]
-        else:
+            raise ConfigError(f"unknown config key {name}")
+        if not isinstance(body, dict):
             raise ConfigError(f"config key {name} must be a JSON object, got {json.dumps(body)}")
+        items += [(f"{name}.{key}", value) for key, value in body.items()]
     cfg = Config((key, _typed(key, value)) for key, value in items)
     cfg.hash = config_hash(raw)
     return cfg
@@ -129,16 +125,18 @@ def _naming(*fields):
         raise ConfigError(f"{' / '.join(fields)}: {exc}") from exc
 
 
-def _flag_or_config(value, flag: str, cfg: Config, key: str):
-    """(value, flag) when the flag is given, else (config value, key)."""
-    return (value, flag) if value is not None else (cfg[key], key)
+def _carrier_hz(cfg: Config) -> float:
+    """geometry.f_c_hz, the one carrier of the geometry and the pair lookup."""
+    f_c = cfg["geometry.f_c_hz"]
+    if not f_c > 0.0:
+        raise ConfigError(f"geometry.f_c_hz must be positive, got {f_c}")
+    return f_c
 
 
 def build_geometry(cfg: Config) -> farfield.ArrayGeometry:
     from . import farfield
 
-    with _naming("geometry.f_c_hz"):
-        lam = cfg.get("geometry.lambda_c_m", farfield.SPEED_OF_LIGHT / cfg["geometry.f_c_hz"])
+    lam = farfield.SPEED_OF_LIGHT / _carrier_hz(cfg)
     with _naming("geometry"):
         return farfield.ArrayGeometry(
             n_cols=cfg["geometry.n_cols"],
@@ -154,6 +152,8 @@ def build_element_model(cfg: Config) -> farfield.ElementPatternModel:
 
     kind = cfg["element_model.kind"]
     if kind == "isotropic":
+        if "element_model.q_exponent" in cfg:
+            raise ConfigError("element_model.q_exponent applies to cosine_power, not isotropic")
         return farfield.ElementPatternModel.isotropic()
     q_exponent = cfg.get("element_model.q_exponent", farfield.default_q_exponent())
     return farfield.ElementPatternModel(kind=kind, q_exponent=q_exponent)
@@ -167,26 +167,24 @@ _PAIR_SOURCES = (
 
 
 def resolve_pair(cfg: Config) -> tuple[float, circuit.ReflectionPair]:
-    """(frequency, pair) from the one pair source the config sets: gamma_on/gamma_off,
-    an impedance_table lookup at frequency_hz, or the explicit (else default) impedances."""
+    """(carrier, pair) from the one pair source the config sets: gamma_on/gamma_off,
+    an impedance_table lookup at geometry.f_c_hz, or the explicit (else default) impedances."""
     from . import circuit
 
     given = [", ".join(k for k in keys if k in cfg) for keys in _PAIR_SOURCES]
     given = [keys for keys in given if keys]
     if len(given) > 1:
         raise ConfigError(f"the reflection pair has more than one source: {' and '.join(given)}")
-    frequency = cfg["waveform.frequency_hz"]
-    if not frequency > 0.0:
-        raise ConfigError(f"waveform.frequency_hz must be positive, got {frequency}")
+    frequency = _carrier_hz(cfg)
     if "waveform.gamma_on" in cfg or "waveform.gamma_off" in cfg:
         pair = circuit.ReflectionPair(cfg["waveform.gamma_on"], cfg["waveform.gamma_off"])
         return frequency, pair
     if "waveform.impedance_table" in cfg:
-        if "waveform.frequency_hz" not in cfg:
-            raise ConfigError("waveform.impedance_table requires waveform.frequency_hz")
+        if "geometry.f_c_hz" not in cfg:
+            raise ConfigError("waveform.impedance_table requires geometry.f_c_hz")
         with _naming("waveform.impedance_table"):
             table = circuit.load_impedance_table(cfg["waveform.impedance_table"])
-        with _naming("waveform.frequency_hz"):
+        with _naming("geometry.f_c_hz"):
             point = table.lookup(frequency)
     else:
         point = circuit.ImpedancePoint(
@@ -221,21 +219,21 @@ def _read_phases(text: str, field: str) -> list:
 
 
 def _parse_profile_arg(args) -> steering.PhaseProfile:
-    from . import farfield, steering
+    from . import steering
 
     if args.profile is not None and args.table2_row is not None:
         raise ConfigError("give --profile or --table2-row, not both")
-    farfield.steps_per_turn(args.resolution, "--resolution")
     if args.table2_row is not None:
         catalog = steering.steering_catalog()
         if not 1 <= args.table2_row <= len(catalog):
             raise ConfigError(f"--table2-row must be in 1..{len(catalog)}")
-        return steering.PhaseProfile(
-            tuple(float(p) for p in catalog[args.table2_row - 1].psi_deg), args.resolution
-        )
+        with _naming("--resolution"):
+            return steering.PhaseProfile(catalog[args.table2_row - 1].psi_deg, args.resolution)
     if args.profile is None:
         raise ConfigError("a profile is required (--profile or --table2-row)")
-    return steering.quantize_profile(_read_phases(args.profile, "--profile"), args.resolution)
+    phases = _read_phases(args.profile, "--profile")
+    with _naming("--resolution"):
+        return steering.quantize_profile(phases, args.resolution)
 
 
 def _lines(rows) -> str:
@@ -321,8 +319,8 @@ def cmd_pattern(args, cfg):
     model = build_element_model(cfg)
     waveform = build_waveform(cfg)
     profile = _parse_profile_arg(args)
-    step, step_field = _flag_or_config(args.grid_step, "--grid-step", cfg, "grid_step_deg")
-    farfield.steps_per_turn(step, step_field)
+    step = args.grid_step
+    farfield.steps_per_turn(step, "--grid-step")
     pattern = farfield.pattern_sweep(
         geometry, model, profile, waveform, args.harmonic, step, normalization=args.normalization
     )
@@ -346,6 +344,7 @@ def cmd_steer(args, cfg):
     from . import farfield, steering
 
     geometry = build_geometry(cfg)
+    waveform = build_waveform(cfg)
     farfield.steps_per_turn(args.resolution, "--resolution")
     with _naming("--target"):
         req = steering.SteeringRequest(
@@ -354,10 +353,10 @@ def cmd_steer(args, cfg):
             geometry=geometry,
             resolution_deg=args.resolution,
         )
+    with _naming("--harmonic", "waveform.duty"):
+        steering.require_power(waveform, args.harmonic)
     if args.method == "search":
-        result = steering.optimize_profile_search(
-            req, build_waveform(cfg), build_element_model(cfg)
-        )
+        result = steering.optimize_profile_search(req, waveform, build_element_model(cfg))
         profile = result.profile
         extra = {"achieved_field_magnitude": result.achieved, "converged": result.converged}
     else:
@@ -378,10 +377,9 @@ def cmd_schedule(args, cfg):
             f"waveform.duty: schedule realizes a 50% duty only, got {cfg['waveform.duty']}"
         )
     profile = _parse_profile_arg(args)
-    f0, f0_field = _flag_or_config(args.f0, "--f0", cfg, "waveform.f0_hz")
     ticks = schedule.DEFAULT_TICKS_PER_PERIOD if args.ticks is None else args.ticks
-    with _naming(f0_field, "--ticks"):
-        sched = schedule.build_switch_schedule(profile, f0, ticks_per_period=ticks)
+    with _naming("waveform.f0_hz", "--ticks"):
+        sched = schedule.build_switch_schedule(profile, cfg["waveform.f0_hz"], ticks)
     doc = schedule.schedule_doc(sched)
     doc["config_hash"] = cfg.hash
     return doc, schedule.tick_table_text(sched)
@@ -470,11 +468,10 @@ FLAGS = {
     "--table2-row": {"type": int, "help": "preset profile row (1-9)"},
     "--resolution": {"type": float, "default": 1.0, "help": "phase step in degrees"},
     "--harmonic": {"type": int, "default": 1, "help": "harmonic order m"},
-    "--grid-step": {"type": float, "help": "azimuth grid step in degrees (default: grid_step_deg)"},
+    "--grid-step": {"type": float, "default": 1.0, "help": "azimuth grid step in degrees"},
     "--normalization": {"choices": ("raw", "peak_normalized"), "default": "peak_normalized"},
     "--target": {"type": float, "required": True, "help": "target azimuth in degrees"},
     "--method": {"choices": ("progressive", "search"), "default": "progressive"},
-    "--f0": {"type": float, "help": "baseband frequency in Hz (default: waveform.f0_hz)"},
     "--ticks": {"type": int, "help": "ticks per baseband period (default: 360)"},
     "measured": {"nargs": "+", "help": "measured sweep files"},
 }
@@ -495,7 +492,7 @@ COMMANDS = {
     ),
     "schedule": (
         cmd_schedule, "switch schedule for a profile",
-        f"--config --out --format {_PROFILE} --f0 --ticks",
+        f"--config --out --format {_PROFILE} --ticks",
     ),
     "compare": (cmd_compare, "measured-sweep agreement report", "--config --out --format measured"),
     "table2": (cmd_table2, "print the golden steering catalog", "--out --format"),

@@ -206,14 +206,13 @@ def compare_sweep(
     element_model: ElementPatternModel,
     waveform_template: ModulationWaveform,
     profile,
-    harmonics=(1, -1),
 ) -> ComparisonReport:
-    """Dominance agreement and front-sector RMS deviation per harmonic."""
+    """Dominance agreement and front-sector RMS deviation per harmonic (+1, -1)."""
     grid = sweep.azimuth_deg
     step = sweep.grid_step_deg
     front = (grid >= FRONT_SECTOR[0]) & (grid <= FRONT_SECTOR[1])
     entries = []
-    for harmonic in harmonics:
+    for harmonic in (1, -1):
         meas = sweep.amplitudes(harmonic)
         meas = meas / meas.max()
         pred = _field_magnitude(

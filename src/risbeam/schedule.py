@@ -26,7 +26,8 @@ class ScheduleStructureError(ValueError):
 
 @dataclass(frozen=True)
 class SwitchSchedule:
-    """Edge ticks per channel: (rise_tick, fall_tick), 50% duty."""
+    """Edge ticks per channel: (rise_tick, fall_tick), each in [0, ticks_per_period),
+    the fall half a period after the rise (50% duty)."""
 
     f0: float
     ticks_per_period: int
@@ -39,19 +40,19 @@ class SwitchSchedule:
             raise ValueError(
                 f"ticks_per_period must be even and >= 2, got {self.ticks_per_period}"
             )
-        object.__setattr__(
-            self, "channels", tuple((int(r), int(f)) for r, f in self.channels)
-        )
         if not self.channels:
             raise ValueError("a schedule needs at least one channel")
+        n = self.ticks_per_period
+        for ch in self.channels:
+            if len(ch) != 2 or not 0 <= ch[0] < n or ch[1] != (ch[0] + n // 2) % n:
+                raise ScheduleStructureError(
+                    f"channel {ch!r} is not a 50% duty (rise, fall) tick pair in [0, {n})"
+                )
+        object.__setattr__(self, "channels", tuple((int(r), int(f)) for r, f in self.channels))
 
     @property
     def period(self) -> float:
         return 1.0 / self.f0
-
-    @property
-    def tick_duration(self) -> float:
-        return self.period / self.ticks_per_period
 
 
 def build_switch_schedule(
@@ -73,20 +74,8 @@ def build_switch_schedule(
 
 def schedule_roundtrip_phases(s: SwitchSchedule) -> list[float]:
     """Recover per-channel phases; error bounded by half a tick in degrees."""
-    half = s.ticks_per_period // 2
-    phases = []
-    for ch in s.channels:
-        if len(ch) != 2:
-            raise ScheduleStructureError(f"channel {ch!r} must have exactly two edges")
-        rise, fall = ch
-        if not (0 <= rise < s.ticks_per_period and 0 <= fall < s.ticks_per_period):
-            raise ScheduleStructureError(f"edge ticks {ch!r} out of range")
-        if (rise + half) % s.ticks_per_period != fall:
-            raise ScheduleStructureError(
-                f"channel {ch!r} is not a 50% duty rise/fall pair"
-            )
-        phases.append((-rise) % s.ticks_per_period * 360.0 / s.ticks_per_period)
-    return phases
+    n = s.ticks_per_period
+    return [(-rise) % n * 360.0 / n for rise, _fall in s.channels]
 
 
 def sample_levels(s: SwitchSchedule, t):

@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 from .farfield import ArrayGeometry, ElementPatternModel, harmonic_field, steps_per_turn
-from .modulation import ModulationWaveform
+from .modulation import ModulationWaveform, fourier_coefficient
 
 CONVENTION_TAG = "harmonic-coefficient-advance"
 
@@ -97,20 +97,27 @@ def _warn_if_outside_sector(azimuth_deg: float):
 def progressive_phase_profile(req: SteeringRequest) -> PhaseProfile:
     """Closed-form profile steering the m-th harmonic.
 
-    psi_p = -sign(m) * 360 * (dx / lambda_c) * (p - 1) * cos(phi_target),
-    reduced mod 360 and quantized half-up to the requested resolution.  On
-    the azimuth cut the rows add in phase, so an MxN grid repeats the row
-    profile once per row (x-fastest).
+    psi_p = -360 * (dx / lambda_c) * (p - 1) * cos(phi_target) / m, since the
+    m-th coefficient advances by m * psi_p; reduced mod 360 and quantized
+    half-up to the requested resolution.  On the azimuth cut the rows add in
+    phase, so an MxN grid repeats the row profile once per row (x-fastest).
     """
     if req.harmonic == 0:
         raise ValueError("the carrier beam (m = 0) is not steerable by delay")
     _warn_if_outside_sector(req.desired_azimuth_deg)
-    sign = 1.0 if req.harmonic > 0 else -1.0
-    slope = -sign * 360.0 * (req.geometry.dx / req.geometry.lambda_c) * math.cos(
+    slope = -360.0 * (req.geometry.dx / req.geometry.lambda_c) * math.cos(
         math.radians(req.desired_azimuth_deg)
-    )
+    ) / req.harmonic
     raw = [(slope * p) % 360.0 for p in range(req.geometry.n_cols)]
     return quantize_profile(raw * req.geometry.m_rows, req.resolution_deg)
+
+
+def require_power(waveform: ModulationWaveform, m: int):
+    """Refuse an order whose |c_m| is at most 1e-12 * max(|gamma_on|, |gamma_off|),
+    rounding noise by the zero-pattern rule (an even order at exactly 50% duty)."""
+    floor = 1e-12 * max(abs(waveform.pair.gamma_on), abs(waveform.pair.gamma_off))
+    if abs(fourier_coefficient(waveform, m)) <= floor:
+        raise ValueError(f"harmonic {m} carries no power at duty {waveform.duty:.12g}")
 
 
 @dataclass(frozen=True)
@@ -134,6 +141,7 @@ def optimize_profile_search(
     without improvement, or returns the best-so-far flagged non-converged
     after MAX_PASSES.
     """
+    require_power(waveform_template, req.harmonic)
     phases = list(progressive_phase_profile(req))
 
     def objective(ph):

@@ -62,10 +62,32 @@ def test_gamma_malformed_table_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("not,a,real,header\n1,2,3,4\n")
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"waveform": {"impedance_table": str(bad), "frequency_hz": 2.45e9}}))
+    cfg.write_text(
+        json.dumps({"geometry": {"f_c_hz": 2.45e9}, "waveform": {"impedance_table": str(bad)}})
+    )
     code, _, err = run(capsys, "gamma", "--config", str(cfg))
     assert code == 2
     assert "error" in err
+
+
+def test_impedance_table_is_looked_up_at_the_geometry_carrier(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("table.csv").write_text(
+        "freq_hz,za_re,za_im,zl1_re,zl1_im,zl2_re,zl2_im\n"
+        "2.4e9,50,0,0,0,150,0\n"
+        "2.5e9,50,0,150,0,0,0\n"
+    )
+    gammas = {}
+    for f_c in (2.4e9, 2.5e9):
+        config = {"geometry": {"f_c_hz": f_c}, "waveform": {"impedance_table": "table.csv"}}
+        Path("cfg.json").write_text(json.dumps(config))
+        code, out, _ = run(capsys, "gamma", "--config", "cfg.json", "--format", "doc")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["frequency_hz"] == f_c
+        gammas[f_c] = doc["gamma_on"][0]
+    # (Z_L - 50) / (Z_L + 50): a shorted load reflects -1, 150 ohm reflects 0.5
+    assert gammas == {2.4e9: -1.0, 2.5e9: 0.5}
 
 
 def test_missing_config_file_exits_3(capsys):
@@ -123,11 +145,11 @@ def test_gamma_reports_the_explicit_pair(capsys, tmp_path):
     [
         ({"gamma_on": [0.5, 0], "z_load_on": [3, 4]}, "waveform.gamma_on", "waveform.z_load_on"),
         (
-            {"gamma_off": [-0.5, 0], "impedance_table": "table.csv", "frequency_hz": 2.45e9},
+            {"gamma_off": [-0.5, 0], "impedance_table": "table.csv"},
             "waveform.gamma_off", "waveform.impedance_table",
         ),
         (
-            {"impedance_table": "table.csv", "frequency_hz": 2.45e9, "z_antenna": [50, 0]},
+            {"impedance_table": "table.csv", "z_antenna": [50, 0]},
             "waveform.impedance_table", "waveform.z_antenna",
         ),
     ],
@@ -137,7 +159,7 @@ def test_two_pair_sources_exit_2_naming_both(
 ):
     monkeypatch.chdir(tmp_path)
     Path("table.csv").write_text(TABLE)
-    Path("cfg.json").write_text(json.dumps({"waveform": waveform}))
+    Path("cfg.json").write_text(json.dumps({"geometry": {"f_c_hz": 2.45e9}, "waveform": waveform}))
     code, out, err = run(capsys, command, "--config", "cfg.json")
     assert code == 2
     assert out == ""
@@ -316,13 +338,19 @@ def test_steer_then_pattern_composes(capsys, tmp_path):
         ({"element_model": {"peak_gain_dbi": 1.75}}, "element_model.peak_gain_dbi"),
         ({"colour": "blue"}, "colour"),
         pytest.param(b'{"waveform": {"duty": 0.5}}\xff', "cfg.json", id="non-utf-8-cfg.json"),
-        ({"waveform": {"impedance_table": "latin1.csv", "frequency_hz": 2.45e9}},
+        ({"geometry": {"f_c_hz": 2.45e9}, "waveform": {"impedance_table": "latin1.csv"}},
          "waveform.impedance_table"),
-        ({"waveform": {"impedance_table": "header.csv", "frequency_hz": 2.45e9}},
+        ({"geometry": {"f_c_hz": 2.45e9}, "waveform": {"impedance_table": "header.csv"}},
          "waveform.impedance_table"),
-        ({"waveform": {"impedance_table": "table.csv", "frequency_hz": 3e9}},
-         "waveform.frequency_hz"),
-        ({"waveform": {"gamma_on": [0.5, 0], "frequency_hz": -1}}, "waveform.frequency_hz"),
+        ({"geometry": {"f_c_hz": 3e9}, "waveform": {"impedance_table": "table.csv"}},
+         "geometry.f_c_hz"),
+        ({"geometry": {"f_c_hz": -1}, "waveform": {"gamma_on": [0.5, 0]}}, "geometry.f_c_hz"),
+        # the carrier, the grid step and the element exponent each have one source
+        ({"geometry": {"lambda_c_m": 0.1}}, "geometry.lambda_c_m"),
+        ({"waveform": {"frequency_hz": 2.45e9}}, "waveform.frequency_hz"),
+        ({"grid_step_deg": 10}, "grid_step_deg"),
+        ({"element_model": {"q_exponent": 2.0}}, "element_model.q_exponent"),
+        ({"element_model": {"kind": "isotropic", "q_exponent": 2.0}}, "element_model.q_exponent"),
     ],
 )
 def test_malformed_config_exits_2_naming_the_key(capsys, tmp_path, monkeypatch, config, field):
@@ -350,7 +378,7 @@ def test_nan_in_config_exits_2(capsys, tmp_path):
     "argv, flag",
     [
         (["pattern", "--table2-row", "1", "--grid-step", "0"], "--grid-step"),
-        (["schedule", "--table2-row", "1", "--f0", "0"], "--f0"),
+        (["schedule", "--table2-row", "1", "--f0", "313"], "--f0"),
         (["pattern", "--table2-row", "1", "--resolution", "0"], "--resolution"),
         (["steer", "--target", "nan"], "--target"),
         (["coeffs", "--max-harmonic", "-1"], "--max-harmonic"),
@@ -372,16 +400,35 @@ def test_bad_flag_exits_2_naming_the_flag(capsys, argv, flag):
     assert flag in err and "Traceback" not in err
 
 
-def test_explicit_zero_grid_step_is_not_a_default(capsys, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"grid_step_deg": 10}))
-    code, out, _ = run(capsys, "pattern", "--config", str(cfg), "--table2-row", "1")
-    assert code == 0
-    assert "#grid_step_deg=10" in out
-    code, _, err = run(
-        capsys, "pattern", "--config", str(cfg), "--table2-row", "1", "--grid-step", "0"
-    )
+def test_explicit_zero_grid_step_is_not_a_default(capsys):
+    code, _, err = run(capsys, "pattern", "--table2-row", "1", "--grid-step", "0")
     assert code == 2 and "--grid-step" in err
+
+
+def test_schedule_reads_f0_from_the_waveform(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"waveform": {"f0_hz": 100.0}}))
+    code, out, _ = run(
+        capsys, "schedule", "--config", str(cfg), "--table2-row", "1", "--format", "doc"
+    )
+    assert code == 0 and json.loads(out)["f0_hz"] == 100.0
+    cfg.write_text(json.dumps({"waveform": {"f0_hz": 0}}))
+    code, out, err = run(capsys, "schedule", "--config", str(cfg), "--table2-row", "1")
+    assert code == 2 and out == ""
+    assert "waveform.f0_hz" in err
+
+
+@pytest.mark.parametrize("method", ["progressive", "search"])
+def test_steer_refuses_a_harmonic_with_no_power(capsys, tmp_path, method):
+    cfg = tmp_path / "cfg.json"
+    argv = ["steer", "--config", str(cfg), "--target", "70", "--harmonic", "2", "--method", method]
+    cfg.write_text(json.dumps({"waveform": {"duty": 0.5}}))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "--harmonic" in err and "waveform.duty" in err
+    cfg.write_text(json.dumps({"waveform": {"duty": 0.3}}))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["harmonic"] == 2
 
 
 def test_compare_bad_profile_metadata_names_file_and_key(capsys, tmp_path):

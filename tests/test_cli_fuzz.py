@@ -65,7 +65,7 @@ FLAGS = {
         "--normalization": st.sampled_from(["raw", "peak_normalized"]),
     },
     "steer": {"--target": floats, "--harmonic": ints, "--resolution": floats},
-    "schedule": {**fmt, **profile_flags, "--f0": floats, "--ticks": ints},
+    "schedule": {**fmt, **profile_flags, "--ticks": ints},
     "compare": fmt,
     "table2": fmt,
 }

@@ -3,11 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from risbeam.circuit import ReflectionPair
 from risbeam.farfield import ArrayGeometry, ElementPatternModel, harmonic_field
-from risbeam.modulation import ModulationWaveform
+from risbeam.modulation import ModulationWaveform, fourier_coefficient
 from risbeam.steering import (
     PhaseProfile,
     SectorWarning,
@@ -158,6 +158,37 @@ def test_planar_search_never_below_tiled_closed_form(size, dx_wl, resolution, ta
     closed = abs(harmonic_field(geo, model, row.phases_deg * m_rows, REALISTIC, m, target))
     result = optimize_profile_search(req, REALISTIC, model)
     assert result.achieved >= closed * (1.0 - 1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    size=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    dx_wl=st.sampled_from([0.35, 0.5, 0.685]),
+    resolution=st.sampled_from([1.0, 5.0, 10.0, 15.0, 30.0, 45.0, 60.0]),
+    target=st.floats(50.0, 130.0),
+    m=st.sampled_from([1, -1, 2, -2, 3, -3, 4, -4, 5, -5]),
+    duty=st.sampled_from([0.5, 0.3]),
+    model=st.sampled_from([ISO, COS]),
+)
+@example(size=(4, 1), dx_wl=0.5, resolution=1.0, target=70.0, m=3, duty=0.5, model=ISO)
+def test_closed_form_steers_every_order(size, dx_wl, resolution, target, m, duty, model):
+    # m * psi_p cancels the path phase up to |m| * resolution / 2 per element, so
+    # the unit phasors sum to at least element_count * cos(|m| * resolution / 2)
+    assume(abs(m) * resolution / 2.0 < 90.0 and (m % 2 or duty != 0.5))
+    geo = planar(*size, dx_wl)
+    waveform = ModulationWaveform(REALISTIC.pair, f0=313.0, t_pw=duty / 313.0)
+    profile = progressive_phase_profile(SteeringRequest(target, m, geo, resolution))
+    c_m = abs(fourier_coefficient(waveform, m))
+    bound = geo.element_count * c_m * model.eval(target)
+    achieved = abs(harmonic_field(geo, model, profile, waveform, m, target))
+    assert achieved >= bound * (math.cos(math.radians(abs(m) * resolution / 2.0)) - 1e-9)
+
+
+def test_search_refuses_a_harmonic_with_no_power():
+    with pytest.raises(ValueError, match="harmonic 2 carries no power"):
+        optimize_profile_search(SteeringRequest(70.0, 2, GEO, 10.0), IDEAL, ISO)
+    thirty = ModulationWaveform(IDEAL.pair, f0=313.0, t_pw=0.3 / 313.0)
+    assert optimize_profile_search(SteeringRequest(70.0, 2, GEO, 10.0), thirty, ISO).achieved > 0
 
 
 def test_back_lobe_target_matches_front_mirror():
