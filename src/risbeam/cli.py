@@ -24,15 +24,14 @@ PHASE_BAND_HALF_WIDTH_DEG = 12.0
 
 # Every config key: dotted name (section.key) -> (type, default).  Defaults
 # are the reference operating point of the 1x4 demonstrator (2.45 GHz
-# carrier, 313 Hz baseband).  A None default is derived from other keys
-# (dx_m, dy_m), is the library default (q_exponent: a 96 deg half-power
+# carrier, 313 Hz baseband).  A None default is derived from another key
+# (dx_m, from f_c_hz), is the library default (q_exponent: a 96 deg half-power
 # beamwidth) or means the key is unset (impedance_table).
 CONFIG_KEYS = {
     "geometry.f_c_hz": (float, 2.45e9),
     "geometry.n_cols": (int, 4),
     "geometry.m_rows": (int, 1),
     "geometry.dx_m": (float, None),
-    "geometry.dy_m": (float, None),
     "element_model.kind": (str, "isotropic"),
     "element_model.q_exponent": (float, None),
     "waveform.impedance_table": (str, None),
@@ -142,7 +141,6 @@ def build_geometry(cfg: Config) -> farfield.ArrayGeometry:
             n_cols=cfg["geometry.n_cols"],
             m_rows=cfg["geometry.m_rows"],
             dx=cfg.get("geometry.dx_m", lam / 2.0),
-            dy=cfg.get("geometry.dy_m", lam / 2.0),
             lambda_c=lam,
         )
 
@@ -328,7 +326,6 @@ def cmd_pattern(args, cfg):
         "config_hash": cfg.hash,
         "geometry": f"{geometry.n_cols}x{geometry.m_rows}",
         "dx_m": f"{geometry.dx:.10g}",
-        "dy_m": f"{geometry.dy:.10g}",
         "lambda_c_m": f"{geometry.lambda_c:.10g}",
         "element_model": model.kind,
         "profile_psi_deg": ",".join(f"{p:.10g}" for p in profile.phases_deg),

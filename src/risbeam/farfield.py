@@ -21,6 +21,10 @@ SPEED_OF_LIGHT = 299_792_458.0
 
 DOMINANCE_TIE_REL = 1e-6
 
+# Float rounding noise, relative: a magnitude within this share of its bound, or
+# a gain within this share, is the same value summed in another order.
+ROUNDING_REL = 1e-12
+
 
 class UndefinedDominanceError(ValueError):
     """Dominance direction of an all-zero pattern is undefined."""
@@ -38,25 +42,26 @@ def steps_per_turn(step_deg: float, name: str = "grid step") -> int:
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Element grid: n_cols along x with spacing dx, m_rows along y with dy."""
+    """Element grid: n_cols along x with spacing dx, m_rows along y (in phase on the cut)."""
 
     n_cols: int
     m_rows: int = 1
     dx: float = 0.0
-    dy: float = 0.0
     lambda_c: float = 0.0
 
     def __post_init__(self):
         if self.n_cols < 1 or self.m_rows < 1:
             raise ValueError("element counts must be >= 1")
-        if not (self.dx > 0.0 and self.dy > 0.0 and self.lambda_c > 0.0):
-            raise ValueError("dx, dy and lambda_c must be positive")
+        if not (0.0 < self.dx < math.inf and 0.0 < self.lambda_c < math.inf):
+            raise ValueError(
+                f"dx and lambda_c must be positive and finite, got {self.dx}, {self.lambda_c}"
+            )
 
     @classmethod
     def half_wavelength_linear(cls, n_cols: int, f_c: float = 2.45e9) -> "ArrayGeometry":
         """Single-row array at half-wavelength spacing for carrier f_c."""
         lam = SPEED_OF_LIGHT / f_c
-        return cls(n_cols=n_cols, m_rows=1, dx=lam / 2.0, dy=lam / 2.0, lambda_c=lam)
+        return cls(n_cols=n_cols, m_rows=1, dx=lam / 2.0, lambda_c=lam)
 
     @property
     def element_count(self) -> int:
@@ -127,9 +132,10 @@ def harmonic_field(
 
     profile is any sequence of per-element baseband phases in degrees (a
     PhaseProfile iterates over its phases), ordered x-fastest (row by row).
-    Each element's harmonic coefficient is the waveform template re-delayed
-    per element_delay.  On the azimuth cut the y direction cosine is zero,
-    so the rows add in phase and only the column index sets the path phase.
+    Element p's coefficient is c_m(0) * exp(j m psi_p), the template's
+    undelayed coefficient (its own tau is ignored) advanced as element_delay
+    realizes it.  On the azimuth cut the y direction cosine is zero, so the
+    rows add in phase: each column's coefficients sum to one path-phase term.
     """
     import numpy as np
 
@@ -139,20 +145,14 @@ def harmonic_field(
             f"profile has {len(phases)} phases for {geometry.element_count} elements"
         )
     az = np.asarray(azimuth_deg, dtype=float)
-    coeffs = np.array(
-        [
-            fourier_coefficient(
-                replace(waveform_template, tau=element_delay(psi, waveform_template.f0)),
-                m,
-            )
-            for psi in phases
-        ]
-    )
+    c0 = fourier_coefficient(replace(waveform_template, tau=0.0), m)
+    coeffs = c0 * np.exp(1j * m * np.radians(phases))
+    columns = coeffs.reshape(geometry.m_rows, geometry.n_cols).sum(axis=0)
     k = 2.0 * math.pi / geometry.lambda_c
-    p_idx = np.tile(np.arange(geometry.n_cols, dtype=float), geometry.m_rows)
+    p_idx = np.arange(geometry.n_cols, dtype=float)
     phi = np.radians(np.atleast_1d(az))
     spatial = np.exp(1j * k * (p_idx[:, None] * geometry.dx * np.cos(phi)[None, :]))
-    total = element_model.eval(np.atleast_1d(az)) * (coeffs[:, None] * spatial).sum(axis=0)
+    total = element_model.eval(np.atleast_1d(az)) * (columns[:, None] * spatial).sum(axis=0)
     return complex(total[0]) if np.ndim(azimuth_deg) == 0 else total
 
 
@@ -184,14 +184,14 @@ def _field_magnitude(geometry, model, profile, waveform, m, azimuth_deg, normali
     """|F_m|, raw or peak-normalized; exact zeros when the peak is rounding noise.
 
     |F_m| <= element_count * max(|gamma_on|, |gamma_off|) because |c_m| <= max |gamma(t)|
-    and the element gain is <= 1; the noise floor is 1e-12 of that bound.
+    and the element gain is <= 1; the noise floor is ROUNDING_REL of that bound.
     """
     import numpy as np
 
     mags = np.abs(harmonic_field(geometry, model, profile, waveform, m, azimuth_deg))
     peak = mags.max()
     pair = waveform.pair
-    if peak <= 1e-12 * geometry.element_count * max(abs(pair.gamma_on), abs(pair.gamma_off)):
+    if peak <= ROUNDING_REL * geometry.element_count * max(abs(pair.gamma_on), abs(pair.gamma_off)):
         return np.zeros_like(mags)
     return mags / peak if normalization == "peak_normalized" else mags
 

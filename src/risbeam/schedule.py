@@ -61,14 +61,12 @@ def build_switch_schedule(
     ticks_per_period: int = DEFAULT_TICKS_PER_PERIOD,
 ) -> SwitchSchedule:
     """Map profile phases to rise/fall ticks (rise = round-half-up of -psi mod 360)."""
-    if ticks_per_period < 2 or ticks_per_period % 2 != 0:
-        raise ValueError(f"ticks_per_period must be even and >= 2, got {ticks_per_period}")
     half = ticks_per_period // 2
     channels = []
     for psi in profile:
         rise = math.floor(((-float(psi)) % 360.0) * ticks_per_period / 360.0 + 0.5)
-        rise %= ticks_per_period
-        channels.append((rise, (rise + half) % ticks_per_period))
+        rise = rise if rise < ticks_per_period else 0
+        channels.append((rise, rise + half if rise < half else rise - half))
     return SwitchSchedule(f0=f0, ticks_per_period=ticks_per_period, channels=tuple(channels))
 
 

@@ -14,7 +14,9 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .farfield import ArrayGeometry, ElementPatternModel, harmonic_field, steps_per_turn
+from .farfield import (
+    ROUNDING_REL, ArrayGeometry, ElementPatternModel, harmonic_field, steps_per_turn,
+)
 from .modulation import ModulationWaveform, fourier_coefficient
 
 CONVENTION_TAG = "harmonic-coefficient-advance"
@@ -113,9 +115,9 @@ def progressive_phase_profile(req: SteeringRequest) -> PhaseProfile:
 
 
 def require_power(waveform: ModulationWaveform, m: int):
-    """Refuse an order whose |c_m| is at most 1e-12 * max(|gamma_on|, |gamma_off|),
+    """Refuse an order whose |c_m| is at most ROUNDING_REL * max(|gamma_on|, |gamma_off|),
     rounding noise by the zero-pattern rule (an even order at exactly 50% duty)."""
-    floor = 1e-12 * max(abs(waveform.pair.gamma_on), abs(waveform.pair.gamma_off))
+    floor = ROUNDING_REL * max(abs(waveform.pair.gamma_on), abs(waveform.pair.gamma_off))
     if abs(fourier_coefficient(waveform, m)) <= floor:
         raise ValueError(f"harmonic {m} carries no power at duty {waveform.duty:.12g}")
 
@@ -137,9 +139,10 @@ def optimize_profile_search(
 
     The search starts from the progressive-phase profile, so its objective
     can only match or exceed the closed form.  Element 0 keeps that start's
-    0 deg, which removes the global-phase gauge.  Stops after a full pass
-    without improvement, or returns the best-so-far flagged non-converged
-    after MAX_PASSES.
+    0 deg, which removes the global-phase gauge.  A move must gain more than
+    ROUNDING_REL relative, so the field's summation order cannot pick the
+    result.  Stops after a full pass without improvement, or returns the
+    best-so-far flagged non-converged after MAX_PASSES.
     """
     require_power(waveform_template, req.harmonic)
     phases = list(progressive_phase_profile(req))
@@ -166,7 +169,7 @@ def optimize_profile_search(
                     continue
                 phases[i] = cand
                 val = objective(phases)
-                if val > best:
+                if val > best * (1.0 + ROUNDING_REL):
                     best = val
                     current = cand
                     improved = True

@@ -351,6 +351,8 @@ def test_steer_then_pattern_composes(capsys, tmp_path):
         ({"grid_step_deg": 10}, "grid_step_deg"),
         ({"element_model": {"q_exponent": 2.0}}, "element_model.q_exponent"),
         ({"element_model": {"kind": "isotropic", "q_exponent": 2.0}}, "element_model.q_exponent"),
+        # the row spacing does not enter the azimuth cut
+        ({"geometry": {"dy_m": 0.06}}, "geometry.dy_m"),
     ],
 )
 def test_malformed_config_exits_2_naming_the_key(capsys, tmp_path, monkeypatch, config, field):
@@ -416,6 +418,39 @@ def test_schedule_reads_f0_from_the_waveform(capsys, tmp_path):
     code, out, err = run(capsys, "schedule", "--config", str(cfg), "--table2-row", "1")
     assert code == 2 and out == ""
     assert "waveform.f0_hz" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pattern", "--table2-row", "1"],
+        ["steer", "--target", "70"],
+        ["steer", "--target", "70", "--method", "search"],
+        ["compare", "sweep.csv"],
+    ],
+)
+def test_non_finite_geometry_exits_2_naming_it(capsys, tmp_path, monkeypatch, argv):
+    # a carrier of 1e-320 Hz makes the wavelength and the default spacing inf
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps({"geometry": {"f_c_hz": 1e-320}}))
+    sweep = synthesize_measured_sweep(GEO, ISO, IDEAL, (0, 270, 180, 90))
+    Path("sweep.csv").write_text(format_measured_sweep(sweep))
+    code, out, err = run(capsys, argv[0], "--config", "cfg.json", *argv[1:])
+    assert code == 2 and out == ""
+    assert err.startswith("error: geometry: ") and "warning:" not in err
+
+
+def test_search_ignores_a_rounding_gain(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps({"waveform": {"duty": 0.3, "gamma_on": [1, 0], "gamma_off": [-1, 0]}})
+    )
+    code, out, _ = run(
+        capsys, "steer", "--config", str(cfg), "--target", "90", "--harmonic", "3",
+        "--resolution", "10", "--method", "search",
+    )
+    assert code == 0
+    assert json.loads(out)["phases_deg"] == [0.0, 0.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("method", ["progressive", "search"])

@@ -37,11 +37,11 @@ GOLDEN = {
     "coeffs --phase 45 --format doc":
         "ccc6b042fbff200f2ad1eeff0212d0d9e82c9ca90771f36f177a6934623de51a",
     "pattern --config ref.json --table2-row 2 --harmonic -1 --grid-step 0.5":
-        "38facf8f89c0cb3823ae6a3ff9f18d4178afb45060b2c6717980c0fbae9f96e6",
+        "8a9cfce3a70a29f791753fb3e963dd5ffa77befbbdabde44191497280f378e79",
     "pattern --profile 0,270,180,90 --format doc --normalization raw":
-        "8b1af799bebe2d4683a61e4924ef63cdfae0002967f2cd53f9ab9afea6c83ca6",
+        "99424393597a5563b705d154e81c28051d9213d47b5358971d144f266a5c3ac0",
     "pattern --profile 0,0,0,0 --harmonic +2":
-        "7cfca479056c9bb88c8996dffd9bbc9a8ebfa19526514ec49b9786e7900d2665",
+        "50a36c0b070daebd07fdc14b2698bc7e49f615d9f856896f15474180e6371c8f",
     "steer --config ref.json --target 63.5 --harmonic -1 --resolution 5":
         "59f1dac0d7947bc711bb92b38124f91c10c7702b8901ba2359c09df60886c0be",
     "schedule --config ref.json --table2-row 3":
@@ -51,7 +51,7 @@ GOLDEN = {
     "compare --config ref.json sweep0.csv sweep1.csv":
         "8ba814b200e99491085a2aaa8f8f1a72ead1c5931f1eb638617c01c0893932f4",
     "compare sweep0.csv --format doc --out report.json":
-        "dcfab953efb1df225c210a51431919bc4602803fc994c5c70be8028a400590bf",
+        "88b1e005b374b1495582328e92a21aa72704916b9ff94cd6fb892f65fe42f408",
     "table2": "b60d1937de3292e96be8af685f8d3afad6ca04ba4bf8646a8811fbe9c8e8c655",
     "table2 --format doc": "3cc6e2b468c457fc2f3626de5b4ecc1142a47b679c35c6636425d26a85954b7b",
 }

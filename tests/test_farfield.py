@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from risbeam import farfield
 from risbeam.circuit import ReflectionPair
 from risbeam.farfield import (
     ArrayGeometry,
@@ -201,9 +203,9 @@ def test_broadside_array_enhancement():
     assert gain_db == pytest.approx(20.0 * math.log10(4.0), abs=1e-6)
 
 
-def planar(n_cols, m_rows, dx_wl=0.5, dy_wl=0.5):
+def planar(n_cols, m_rows, dx_wl=0.5):
     lam = GEO.lambda_c
-    return ArrayGeometry(n_cols, m_rows, dx=dx_wl * lam, dy=dy_wl * lam, lambda_c=lam)
+    return ArrayGeometry(n_cols, m_rows, dx=dx_wl * lam, lambda_c=lam)
 
 
 grids = st.tuples(st.integers(1, 4), st.integers(1, 4))
@@ -214,18 +216,17 @@ spacings = st.floats(0.1, 1.0)
 @given(
     size=grids,
     dx_wl=spacings,
-    dy_wl=spacings,
     model=st.sampled_from([ISO, COS]),
     m=st.sampled_from([1, -1, 3, -3]),
     psi=st.lists(st.floats(0.0, 359.0), min_size=16, max_size=16),
 )
 @example(
-    size=(4, 2), dx_wl=0.5, dy_wl=0.5, model=ISO, m=1,
+    size=(4, 2), dx_wl=0.5, model=ISO, m=1,
     psi=[0.0, 90.0, 180.0, 270.0, 45.0, 135.0, 225.0, 315.0] * 2,
 )
-def test_mirror_symmetry_holds_for_every_grid(size, dx_wl, dy_wl, model, m, psi):
+def test_mirror_symmetry_holds_for_every_grid(size, dx_wl, model, m, psi):
     # |F(phi)| == |F(360 - phi)| for any MxN grid and profile
-    geo = planar(*size, dx_wl, dy_wl)
+    geo = planar(*size, dx_wl)
     psi = psi[: geo.element_count]
     grid = np.arange(0.0, 360.0, 5.0)
     a = np.abs(harmonic_field(geo, model, psi, REALISTIC, m, grid))
@@ -234,16 +235,83 @@ def test_mirror_symmetry_holds_for_every_grid(size, dx_wl, dy_wl, model, m, psi)
 
 
 @settings(max_examples=40, deadline=None)
-@given(size=grids, dx_wl=spacings, dy_wl=spacings, psi=st.floats(0.0, 359.0),
+@given(size=grids, dx_wl=spacings, psi=st.floats(0.0, 359.0),
        m=st.sampled_from([1, -1, 3, -3]))
-@example(size=(4, 2), dx_wl=0.5, dy_wl=0.5, psi=0.0, m=1)
-def test_in_phase_broadside_gain_is_element_count(size, dx_wl, dy_wl, psi, m):
+@example(size=(4, 2), dx_wl=0.5, psi=0.0, m=1)
+def test_in_phase_broadside_gain_is_element_count(size, dx_wl, psi, m):
     # an in-phase isotropic MxN array gains 20*log10(M*N) over one element at broadside
-    geo = planar(*size, dx_wl, dy_wl)
+    geo = planar(*size, dx_wl)
     n = geo.element_count
     array = abs(harmonic_field(geo, ISO, [psi] * n, REALISTIC, m, 90.0))
     single = abs(harmonic_field(planar(1, 1), ISO, [psi], REALISTIC, m, 90.0))
     assert 20.0 * math.log10(array / single) == pytest.approx(20.0 * math.log10(n), abs=1e-9)
+
+
+def reference_field(geometry, model, profile, waveform, m, azimuth_deg):
+    """F_m summed element by element, each coefficient from the template delayed
+    by element_delay; element i sits in column i % n_cols."""
+    az = np.atleast_1d(np.asarray(azimuth_deg, dtype=float))
+    k = 2.0 * math.pi / geometry.lambda_c
+    total = np.zeros(az.shape, dtype=complex)
+    for i, psi in enumerate(profile):
+        delayed = replace(waveform, tau=element_delay(float(psi), waveform.f0))
+        path = k * (i % geometry.n_cols) * geometry.dx * np.cos(np.radians(az))
+        total += fourier_coefficient(delayed, m) * model.eval(az) * np.exp(1j * path)
+    return complex(total[0]) if np.ndim(azimuth_deg) == 0 else total
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    size=grids,
+    dx_wl=spacings,
+    model=st.sampled_from([ISO, COS]),
+    pair=st.sampled_from([IDEAL.pair, REALISTIC.pair]),
+    m=st.sampled_from([1, -1, 2, -2, 3, -3]),
+    duty=st.floats(0.05, 0.95),
+    tau=st.floats(0.0, 0.99),
+    psi=st.lists(st.floats(0.0, 359.99), min_size=16, max_size=16),
+)
+@example(
+    size=(4, 4), dx_wl=0.5, model=COS, pair=REALISTIC.pair, m=3, duty=0.3, tau=0.25,
+    psi=[0.0, 90.0, 180.0, 270.0, 45.0, 135.0, 225.0, 315.0] * 2,
+)
+def test_field_is_the_sum_of_delayed_element_coefficients(
+    size, dx_wl, model, pair, m, duty, tau, psi
+):
+    # c_m(0) * exp(j m psi) is the coefficient of the template delayed by
+    # element_delay(psi), in phase as well as in magnitude; the template's tau is ignored
+    geo = planar(*size, dx_wl)
+    psi = psi[: geo.element_count]
+    waveform = ModulationWaveform(pair, f0=F0, tau=tau / F0, t_pw=duty / F0)
+    grid = np.arange(0.0, 360.0, 5.0)
+    got = harmonic_field(geo, model, psi, waveform, m, grid)
+    ref = reference_field(geo, model, psi, waveform, m, grid)
+    bound = geo.element_count * max(abs(pair.gamma_on), abs(pair.gamma_off))
+    assert np.max(np.abs(got - ref)) <= 1e-12 * bound
+    assert harmonic_field(geo, model, psi, waveform, m, 70.0) == pytest.approx(
+        reference_field(geo, model, psi, waveform, m, 70.0), abs=1e-12 * bound
+    )
+
+
+def test_field_computes_one_coefficient_per_call(monkeypatch):
+    orders = []
+
+    def counted(waveform, m):
+        orders.append(m)
+        return fourier_coefficient(waveform, m)
+
+    monkeypatch.setattr(farfield, "fourier_coefficient", counted)
+    harmonic_field(planar(4, 4), COS, [10.0 * i for i in range(16)], REALISTIC, 3, 70.0)
+    harmonic_field(planar(4, 4), COS, [0.0] * 16, REALISTIC, -1, np.arange(0.0, 360.0))
+    assert orders == [3, -1]
+
+
+@pytest.mark.parametrize(
+    "dx, lambda_c", [(math.inf, 0.12), (0.06, math.inf), (math.nan, 0.12), (0.06, 0.0)]
+)
+def test_geometry_needs_a_positive_finite_spacing_and_wavelength(dx, lambda_c):
+    with pytest.raises(ValueError, match="positive and finite"):
+        ArrayGeometry(4, 1, dx=dx, lambda_c=lambda_c)
 
 
 @settings(max_examples=20, deadline=None)

@@ -48,6 +48,13 @@ def test_odd_ticks_rejected():
         build_switch_schedule([0.0], F0, 361)
 
 
+@pytest.mark.parametrize("ticks", [0, 1, 3, -2])
+def test_tick_counts_that_are_not_even_are_a_value_error(ticks):
+    # SwitchSchedule makes the one check; building the ticks must not divide by zero first
+    with pytest.raises(ValueError, match="ticks_per_period must be even"):
+        build_switch_schedule([0.0, 90.0, 1e-20, 359.9], F0, ticks)
+
+
 def test_empty_profile_rejected():
     with pytest.raises(ValueError, match="at least one channel"):
         build_switch_schedule([], F0, 360)
