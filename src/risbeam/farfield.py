@@ -30,11 +30,20 @@ class UndefinedDominanceError(ValueError):
     """Dominance direction of an all-zero pattern is undefined."""
 
 
+# The finest step a grid or a phase resolution may take: 0.001 deg.
+MAX_STEPS_PER_TURN = 360_000
+
+
 def steps_per_turn(step_deg: float, name: str = "grid step") -> int:
-    """Number of step_deg steps in 360 deg; the step must be positive and divide 360."""
+    """Number of step_deg steps in 360 deg; the step must be positive, divide
+    360 and be no finer than MAX_STEPS_PER_TURN steps per turn."""
     if not step_deg > 0.0:
         raise ValueError(f"{name} must be positive, got {step_deg}")
     n = 360.0 / step_deg
+    if not n <= MAX_STEPS_PER_TURN:
+        raise ValueError(
+            f"{name} {step_deg} deg is finer than {360.0 / MAX_STEPS_PER_TURN:g} deg"
+        )
     if not (n >= 1.0 and abs(n - round(n)) <= 1e-9):
         raise ValueError(f"{name} {step_deg} deg does not divide 360")
     return round(n)
@@ -134,8 +143,9 @@ def harmonic_field(
     PhaseProfile iterates over its phases), ordered x-fastest (row by row).
     Element p's coefficient is c_m(0) * exp(j m psi_p), the template's
     undelayed coefficient (its own tau is ignored) advanced as element_delay
-    realizes it.  On the azimuth cut the y direction cosine is zero, so the
-    rows add in phase: each column's coefficients sum to one path-phase term.
+    realizes it.  On the azimuth cut the rows add in phase, so F is element(phi)
+    times sum_p a_p z^p over the column sums a_p, with z = exp(j k dx cos phi),
+    evaluated by Horner's rule: one exponential per angle.
     """
     import numpy as np
 
@@ -148,12 +158,12 @@ def harmonic_field(
     c0 = fourier_coefficient(replace(waveform_template, tau=0.0), m)
     coeffs = c0 * np.exp(1j * m * np.radians(phases))
     columns = coeffs.reshape(geometry.m_rows, geometry.n_cols).sum(axis=0)
-    k = 2.0 * math.pi / geometry.lambda_c
-    p_idx = np.arange(geometry.n_cols, dtype=float)
-    phi = np.radians(np.atleast_1d(az))
-    spatial = np.exp(1j * k * (p_idx[:, None] * geometry.dx * np.cos(phi)[None, :]))
-    total = element_model.eval(np.atleast_1d(az)) * (columns[:, None] * spatial).sum(axis=0)
-    return complex(total[0]) if np.ndim(azimuth_deg) == 0 else total
+    z = np.exp(1j * (2.0 * math.pi / geometry.lambda_c) * geometry.dx * np.cos(np.radians(az)))
+    acc = 0j
+    for a_p in columns[::-1]:
+        acc = acc * z + a_p
+    total = element_model.eval(az) * acc
+    return complex(total) if np.ndim(azimuth_deg) == 0 else total
 
 
 @dataclass(frozen=True)

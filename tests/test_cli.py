@@ -390,6 +390,8 @@ def test_nan_in_config_exits_2(capsys, tmp_path):
         (["steer", "--target", "60", "--format", "csv"], "--format"),
         (["table2", "--config", "cfg.json"], "--config"),
         (["pattern", "--profile", "0,0,0,0", "--harmonic", "+x"], "--harmonic"),
+        (["pattern", "--profile", "0,0,0,0", "--grid-step", "1e-300"], "--grid-step"),
+        (["steer", "--target", "70", "--resolution", "1e-300"], "--resolution"),
     ],
 )
 def test_bad_flag_exits_2_naming_the_flag(capsys, argv, flag):

@@ -37,9 +37,9 @@ GOLDEN = {
     "coeffs --phase 45 --format doc":
         "ccc6b042fbff200f2ad1eeff0212d0d9e82c9ca90771f36f177a6934623de51a",
     "pattern --config ref.json --table2-row 2 --harmonic -1 --grid-step 0.5":
-        "8a9cfce3a70a29f791753fb3e963dd5ffa77befbbdabde44191497280f378e79",
+        "a28710b87727c7923305694893db513051ce3f2bcd247fb7bb2ecc4fe1a94d9c",
     "pattern --profile 0,270,180,90 --format doc --normalization raw":
-        "99424393597a5563b705d154e81c28051d9213d47b5358971d144f266a5c3ac0",
+        "682c231dad7c008d9310fe4992523190d0dc5417c4d9994a4e61892332b6dd49",
     "pattern --profile 0,0,0,0 --harmonic +2":
         "50a36c0b070daebd07fdc14b2698bc7e49f615d9f856896f15474180e6371c8f",
     "steer --config ref.json --target 63.5 --harmonic -1 --resolution 5":
@@ -51,7 +51,7 @@ GOLDEN = {
     "compare --config ref.json sweep0.csv sweep1.csv":
         "8ba814b200e99491085a2aaa8f8f1a72ead1c5931f1eb638617c01c0893932f4",
     "compare sweep0.csv --format doc --out report.json":
-        "88b1e005b374b1495582328e92a21aa72704916b9ff94cd6fb892f65fe42f408",
+        "b2d6f858af5bb0b5f77ee5066ab01885ca208355bfee109965a0c2ff9dbbf2d5",
     "table2": "b60d1937de3292e96be8af685f8d3afad6ca04ba4bf8646a8811fbe9c8e8c655",
     "table2 --format doc": "3cc6e2b468c457fc2f3626de5b4ecc1142a47b679c35c6636425d26a85954b7b",
 }

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -130,7 +131,7 @@ def test_grid_step_must_divide_circle():
         pattern_sweep(GEO, ISO, [0, 0, 0, 0], IDEAL, 1, 7.0)
 
 
-@pytest.mark.parametrize("step", [0.0, -1.0, 7.0, math.nan])
+@pytest.mark.parametrize("step", [0.0, -1.0, 7.0, math.nan, 1e-300])
 def test_sweeps_and_profiles_share_one_step_check(step):
     with pytest.raises(ValueError, match="grid step"):
         pattern_sweep(GEO, ISO, [0, 0, 0, 0], IDEAL, 1, step)
@@ -138,6 +139,12 @@ def test_sweeps_and_profiles_share_one_step_check(step):
         synthesize_measured_sweep(GEO, ISO, IDEAL, [0, 0, 0, 0], grid_step_deg=step)
     with pytest.raises(ValueError, match="resolution"):
         quantize_profile([0.0], step)
+
+
+def test_step_no_finer_than_a_thousandth_of_a_degree():
+    assert farfield.steps_per_turn(0.001) == 360_000
+    with pytest.raises(ValueError, match="grid step 0.0005 deg is finer than 0.001 deg"):
+        farfield.steps_per_turn(0.0005)
 
 
 def test_dominance_constant_pattern_returns_full_grid():
@@ -291,6 +298,32 @@ def test_field_is_the_sum_of_delayed_element_coefficients(
     assert harmonic_field(geo, model, psi, waveform, m, 70.0) == pytest.approx(
         reference_field(geo, model, psi, waveform, m, 70.0), abs=1e-12 * bound
     )
+
+
+def test_wide_field_matches_the_element_sum():
+    # 512 columns at 0.95 wavelength on a 0.1 deg grid: Horner's powers of z
+    # stay within the zero rule's bound of the direct exponential sum
+    geo = ArrayGeometry(512, 1, dx=0.95 * GEO.lambda_c, lambda_c=GEO.lambda_c)
+    psi = np.random.default_rng(24).uniform(0.0, 360.0, size=512)
+    grid = np.arange(3600) * 0.1
+    bound = 512 * max(abs(REALISTIC.pair.gamma_on), abs(REALISTIC.pair.gamma_off))
+    for m in (1, -3):
+        got = harmonic_field(geo, COS, psi, REALISTIC, m, grid)
+        ref = reference_field(geo, COS, psi, REALISTIC, m, grid)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * bound
+
+
+def test_field_memory_is_linear_in_the_angle_count():
+    geo = ArrayGeometry.half_wavelength_linear(256)
+    grid = np.arange(3600) * 0.1
+    tracemalloc.start()
+    try:
+        harmonic_field(geo, COS, [0.0] * 256, REALISTIC, 1, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # an n_cols x angles complex matrix alone would take 256 * 3600 * 16 B = 14.7 MB
+    assert peak < 1_000_000
 
 
 def test_field_computes_one_coefficient_per_call(monkeypatch):
