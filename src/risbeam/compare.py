@@ -8,7 +8,6 @@ treated as relative: both sides are peak-normalized (amplitude domain,
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,6 +18,7 @@ from .farfield import (
     ArrayGeometry,
     ElementPatternModel,
     HarmonicPattern,
+    _csv_rows,
     _field_magnitude,
     dominance_direction,
     steps_per_turn,
@@ -66,14 +66,20 @@ class MeasuredSweep:
         return float(self.azimuth_deg[1] - self.azimuth_deg[0])
 
     def amplitudes(self, harmonic: int) -> np.ndarray:
-        """Linear amplitudes 10^(dBm/20) of a harmonic's column; some cell must be nonzero."""
+        """Linear amplitudes 10^(dBm/20) of a harmonic's column; every cell must be
+        finite and some cell nonzero."""
         if harmonic == 1:
             column, dbm = "p_plus1_dbm", self.p_plus1_dbm
         elif harmonic == -1:
             column, dbm = "p_minus1_dbm", self.p_minus1_dbm
         else:
             raise SweepFormatError(f"sweep carries only ±1st harmonics, not {harmonic}")
-        amps = 10.0 ** (dbm / 20.0)
+        with np.errstate(over="ignore"):
+            amps = 10.0 ** (dbm / 20.0)
+        if np.isinf(amps).any():
+            raise SweepFormatError(
+                f"{column}: a cell overflows the amplitude range (peak {dbm.max():g} dBm)"
+            )
         if not amps.max() > 0.0:
             raise SweepFormatError(
                 f"{column}: every cell underflows to zero amplitude (peak {dbm.max():g} dBm)"
@@ -82,10 +88,12 @@ class MeasuredSweep:
 
 
 def parse_measured_sweep(text: str) -> MeasuredSweep:
+    """Read a sweep; a malformed one is reported at its first bad line, with
+    lines counted at "\\n" alone."""
     metadata = {}
     header_seen = False
-    az, pp, pm = [], [], []
-    for lineno, raw in enumerate(io.StringIO(text), start=1):
+    rows, linenos = [], []
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -101,21 +109,38 @@ def parse_measured_sweep(text: str) -> MeasuredSweep:
                 )
             header_seen = True
             continue
+        rows.append(line)
+        linenos.append(lineno)
+    if not header_seen:
+        raise SweepFormatError("missing sweep header line")
+    cells = _convert_rows(rows, linenos)
+    return MeasuredSweep(cells[:, 0], cells[:, 1], cells[:, 2], metadata)
+
+
+def _convert_rows(rows: list, linenos: list) -> np.ndarray:
+    """The data lines as an (n, 3) array of finite floats, all cells converted
+    at once; on any fault the lines are checked one by one in file order."""
+    if {line.count(",") for line in rows} == {2}:
+        try:
+            cells = np.array(",".join(rows).split(","), dtype=float).reshape(-1, 3)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(cells).all():
+                return cells
+    values = []
+    for lineno, line in zip(linenos, rows):
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != 3:
             raise SweepFormatError(f"line {lineno}: expected 3 columns, got {len(cells)}")
         try:
-            a, p1, m1 = (float(c) for c in cells)
+            row = [float(c) for c in cells]
         except ValueError as exc:
             raise SweepFormatError(f"line {lineno}: {exc}") from exc
-        if not all(map(math.isfinite, (a, p1, m1))):
+        if not all(map(math.isfinite, row)):
             raise SweepFormatError(f"line {lineno}: cells must be finite, got {line!r}")
-        az.append(a)
-        pp.append(p1)
-        pm.append(m1)
-    if not header_seen:
-        raise SweepFormatError("missing sweep header line")
-    return MeasuredSweep(np.array(az), np.array(pp), np.array(pm), metadata)
+        values.append(row)
+    return np.array(values, dtype=float).reshape(-1, 3)
 
 
 def load_measured_sweep(source) -> MeasuredSweep:
@@ -129,9 +154,13 @@ def load_measured_sweep(source) -> MeasuredSweep:
 def format_measured_sweep(sweep: MeasuredSweep) -> str:
     lines = [f"#{k}={v}" for k, v in sweep.metadata.items()]
     lines.append(SWEEP_HEADER)
-    for a, p1, m1 in zip(sweep.azimuth_deg, sweep.p_plus1_dbm, sweep.p_minus1_dbm):
-        lines.append(f"{a:.10g},{p1:.10g},{m1:.10g}")
-    return "\n".join(lines) + "\n"
+    rows = _csv_rows(
+        "%.10g,%.10g,%.10g\n",
+        sweep.azimuth_deg.tolist(),
+        sweep.p_plus1_dbm.tolist(),
+        sweep.p_minus1_dbm.tolist(),
+    )
+    return "\n".join(lines) + "\n" + rows
 
 
 def synthesize_measured_sweep(
@@ -207,14 +236,19 @@ def compare_sweep(
     waveform_template: ModulationWaveform,
     profile,
 ) -> ComparisonReport:
-    """Dominance agreement and front-sector RMS deviation per harmonic (+1, -1)."""
+    """Dominance agreement and front-sector RMS deviation per harmonic (+1, -1);
+    the sweep must sample the front sector."""
     grid = sweep.azimuth_deg
     step = sweep.grid_step_deg
     front = (grid >= FRONT_SECTOR[0]) & (grid <= FRONT_SECTOR[1])
+    measured = {harmonic: sweep.amplitudes(harmonic) for harmonic in (1, -1)}
+    if not front.any():
+        raise SweepFormatError(
+            f"azimuth_deg: no sample in FRONT_SECTOR {FRONT_SECTOR} deg, where nrms_front is taken"
+        )
     entries = []
     for harmonic in (1, -1):
-        meas = sweep.amplitudes(harmonic)
-        meas = meas / meas.max()
+        meas = measured[harmonic] / measured[harmonic].max()
         pred = _field_magnitude(
             geometry, element_model, profile, waveform_template, harmonic, grid, "peak_normalized"
         )

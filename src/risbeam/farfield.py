@@ -236,8 +236,19 @@ def dominance_direction(pattern: HarmonicPattern) -> list[float]:
     return [float(a) for a in pattern.azimuth_deg[mask]]
 
 
-def _db(mag: float) -> str:
-    return "-inf" if mag <= 0.0 else f"{20.0 * math.log10(mag):.10g}"
+def _db_cells(magnitudes: list, floor) -> list:
+    """20·log10 of each magnitude, and floor for one <= 0 (a NaN stays NaN)."""
+    return [floor if v <= 0.0 else 20.0 * math.log10(v) for v in magnitudes]
+
+
+def _csv_rows(row: str, *columns: list) -> str:
+    """One line per index, `row % (column values)`, by one `%` over the
+    repeated row; the columns are lists of Python floats of one length."""
+    width, count = len(columns), len(columns[0])
+    cells = [None] * (width * count)
+    for i, column in enumerate(columns):
+        cells[i::width] = column
+    return (row * count) % tuple(cells)
 
 
 def pattern_csv(pattern: HarmonicPattern, metadata: dict | None = None) -> str:
@@ -246,20 +257,21 @@ def pattern_csv(pattern: HarmonicPattern, metadata: dict | None = None) -> str:
     lines.append(f"#harmonic={pattern.m}")
     lines.append(f"#normalization={pattern.normalization}")
     lines.append("azimuth_deg,magnitude_linear,magnitude_db")
-    for az, mag in zip(pattern.azimuth_deg, pattern.magnitude):
-        lines.append(f"{az:.10g},{mag:.12g},{_db(float(mag))}")
-    return "\n".join(lines) + "\n"
+    mags = pattern.magnitude.tolist()
+    rows = _csv_rows(
+        "%.10g,%.12g,%.10g\n", pattern.azimuth_deg.tolist(), mags, _db_cells(mags, -math.inf)
+    )
+    return "\n".join(lines) + "\n" + rows
 
 
 def pattern_doc(pattern: HarmonicPattern, metadata: dict | None = None) -> dict:
     """Structured-document export mirroring pattern_csv."""
+    mags = pattern.magnitude.tolist()
     return {
         "metadata": dict(metadata or {}),
         "harmonic": pattern.m,
         "normalization": pattern.normalization,
-        "azimuth_deg": [float(a) for a in pattern.azimuth_deg],
-        "magnitude_linear": [float(v) for v in pattern.magnitude],
-        "magnitude_db": [
-            None if v <= 0.0 else 20.0 * math.log10(float(v)) for v in pattern.magnitude
-        ],
+        "azimuth_deg": pattern.azimuth_deg.tolist(),
+        "magnitude_linear": mags,
+        "magnitude_db": _db_cells(mags, None),
     }

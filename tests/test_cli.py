@@ -305,6 +305,18 @@ def test_compare_underflowing_column_exits_2_naming_it(capsys, tmp_path):
     assert "p_plus1_dbm" in err and "Warning" not in err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "doc"])
+def test_compare_sweep_without_front_sector_exits_2(capsys, tmp_path, fmt):
+    p = tmp_path / "sweep.csv"
+    p.write_text(
+        "#psi_deg=0,0,0,0\nazimuth_deg,p_plus1_dbm,p_minus1_dbm\n"
+        "200,-40,-42\n210,-39,-41\n220,-38,-40\n"
+    )
+    code, out, err = run(capsys, "compare", str(p), "--format", fmt)
+    assert code == 2 and out == ""
+    assert "azimuth_deg" in err and "FRONT_SECTOR" in err and "warning" not in err
+
+
 def test_output_is_deterministic(capsys, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):

@@ -3,7 +3,8 @@
 Whatever the input, `main` ends in exit 0 (success), 2 (validation) or 3
 (I/O), with any message on stderr; no other exception escapes.  Values are
 bounded (|int| <= 50, valid grid steps >= 0.5 deg, no search) so that every
-example stays fast.
+example stays fast.  A second fuzz draws the text of the measured sweep file
+that `compare` reads.
 """
 
 import contextlib
@@ -12,11 +13,11 @@ import json
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from risbeam.circuit import ReflectionPair
 from risbeam.cli import CONFIG_KEYS, main
-from risbeam.compare import format_measured_sweep, synthesize_measured_sweep
+from risbeam.compare import SWEEP_HEADER, format_measured_sweep, synthesize_measured_sweep
 from risbeam.farfield import ArrayGeometry, ElementPatternModel
 from risbeam.modulation import ModulationWaveform
 
@@ -113,5 +114,55 @@ def test_cli_exits_0_2_or_3(workdir, config, argv):
             code = exc.code
     assert code in (0, 2, 3), (argv, config, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    if code != 0:
+        assert "error" in err.getvalue()
+
+
+SWEEP_CELLS = ["0", "10", "80", "200", "-40", " -39.5 ", "7000", "nan", "", "x", "1_0"]
+junk_lines = st.one_of(
+    st.lists(st.sampled_from(SWEEP_CELLS), min_size=2, max_size=4).map(",".join),
+    st.sampled_from(["", "  ", "# note", "#k=v", "#psi_deg=0,a,0,0", SWEEP_HEADER]),
+)
+
+
+@st.composite
+def sweep_texts(draw):
+    """A uniform sweep, which may miss the front sector; unless drawn clean, it
+    may lack its metadata or header and have cells and lines spoiled."""
+    clean = draw(st.booleans())
+    lines = []
+    if clean or draw(st.booleans()):
+        lines.append("#psi_deg=" + draw(st.sampled_from(["0,270,180,90", "0,0,0,0"])))
+    if clean or draw(st.booleans()):
+        lines.append(SWEEP_HEADER)
+    head = len(lines)
+    start, step = draw(st.sampled_from([0, 60, 180])), draw(st.sampled_from([10, 45]))
+    power = st.sampled_from(["-40", " -39.5 ", "-42", "10", "-3", "0"] + ["7000"] * (not clean))
+    for az in range(start, min(360, start + step * draw(st.integers(1, 12))), step):
+        lines.append(f"{az},{draw(power)},{draw(power)}")
+    if not clean:
+        for index, line in draw(st.lists(st.tuples(st.integers(head, len(lines)), junk_lines))):
+            lines.insert(index, line)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r\n\r"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def reject_constant(name):
+    raise AssertionError(f"compare printed {name}, which is not JSON")
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=sweep_texts(), fmt=st.sampled_from(["csv", "doc"]))
+def test_compare_on_drawn_sweep_text_exits_0_2_or_3(workdir, text, fmt):
+    path = workdir / "drawn.csv"
+    path.write_bytes(text.encode("utf-8"))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["compare", str(path), "--format", fmt])
+    event(f"exit {code}")
+    assert code in (0, 2, 3), (text, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0 and fmt == "doc":
+        json.loads(out.getvalue(), parse_constant=reject_constant)
     if code != 0:
         assert "error" in err.getvalue()

@@ -117,3 +117,82 @@ def test_underflowing_column_is_format_error_naming_it(column):
     setattr(sweep, column, np.full_like(sweep.azimuth_deg, -7000.0))
     with pytest.raises(SweepFormatError, match=column):
         compare_sweep(sweep, GEO, ISO, IDEAL, [0, 270, 180, 90])
+
+
+@pytest.mark.parametrize("column", ["p_plus1_dbm", "p_minus1_dbm"])
+def test_overflowing_cell_is_format_error_naming_it(column):
+    sweep = synthesize_measured_sweep(GEO, ISO, IDEAL, [0, 270, 180, 90])
+    getattr(sweep, column)[3] = 7000.0
+    with pytest.raises(SweepFormatError, match=f"{column}: a cell overflows"):
+        compare_sweep(sweep, GEO, ISO, IDEAL, [0, 270, 180, 90])
+
+
+H = "azimuth_deg,p_plus1_dbm,p_minus1_dbm"
+
+# A malformed sweep is reported at its first bad line in file order, with
+# lines counted at "\n" alone (a "\r", "\x0c" or " " ends no line).
+PARSE_ERRORS = {
+    "nan before a non-number": (
+        f"{H}\n0,-40,-42\nnan,-40,-42\nx,-40,-42\n",
+        "line 3: cells must be finite, got 'nan,-40,-42'",
+    ),
+    "non-number before a short line": (
+        f"{H}\n0,-40,-42\n10,x,-42\n20,-40,-42\n30,-40\n",
+        "line 3: could not convert string to float: 'x'",
+    ),
+    "short line before a non-number": (
+        f"{H}\n0,-40,-42\n10,-40\n20,-40,-42\n30,x,-42\n",
+        "line 3: expected 3 columns, got 2",
+    ),
+    "long line before inf": (
+        f"{H}\n0,-40,-42,7\n10,inf,-42\n",
+        "line 2: expected 3 columns, got 4",
+    ),
+    "empty cell": (f"{H}\n0,,-42\n", "line 2: could not convert string to float: ''"),
+    "crlf line ends": (
+        f"{H}\r\n0,-40,-42\r\n10,-40,x\r\n",
+        "line 3: could not convert string to float: 'x'",
+    ),
+    "form feed at a line end": (
+        f"{H}\n0,-40,-42\x0c\n10,y,-42\n",
+        "line 3: could not convert string to float: 'y'",
+    ),
+    "line separator at a line end": (
+        f"{H}\n0,-40,-42 \n10,-40,-42\x85\n20,z,-42\n",
+        "line 4: could not convert string to float: 'z'",
+    ),
+    "lone carriage return inside a line": (
+        f"{H}\n0,-40\r10,-42\n",
+        "line 2: could not convert string to float: '-40\\r10'",
+    ),
+    "spaces, underscores and overflow": (
+        f"{H}\n 0 , -40 , -42 \n1_0,-40,-42\n20,1e400,-42\n",
+        "line 4: cells must be finite, got '20,1e400,-42'",
+    ),
+    "comments, blanks and late metadata": (
+        f"#a=1\n{H}\n0,-40,-42\n\n# note\n10,-40,-42\n#b=2\n   \n20,-40\n",
+        "line 9: expected 3 columns, got 2",
+    ),
+    "wrong header": (
+        "#a=1\n\nx,y,z\n0,-40,-42\n",
+        f"line 3: expected header {H!r}, got 'x,y,z'",
+    ),
+    "no header": ("#a=1\n# note\n", "missing sweep header line"),
+    "no samples": (f"#a=1\n{H}\n#b=2\n", "sweep contains no samples"),
+}
+
+
+@pytest.mark.parametrize("text,message", PARSE_ERRORS.values(), ids=PARSE_ERRORS)
+def test_parse_error_names_the_first_bad_line(text, message):
+    with pytest.raises(SweepFormatError) as info:
+        parse_measured_sweep(text)
+    assert str(info.value) == message
+
+
+def test_parse_accepts_what_float_accepts():
+    text = f"#a = 1 \n{H}\r\n 1_0 , -4e1\x0c, -42\r\n١٢,  -39.5 ,-41\n#b=2\n"
+    sweep = parse_measured_sweep(text)
+    assert sweep.azimuth_deg.tolist() == [10.0, 12.0]
+    assert sweep.p_plus1_dbm.tolist() == [-40.0, -39.5]
+    assert sweep.p_minus1_dbm.tolist() == [-42.0, -41.0]
+    assert sweep.metadata == {"a": "1", "b": "2"}
