@@ -2,8 +2,9 @@
 
 Builds a 313 Hz square-wave reflection waveform from the reference
 impedances, prints the closed-form Fourier coefficients next to a
-midpoint-quadrature check, and shows how duty cycle moves energy between
-the even and odd harmonics.
+midpoint-quadrature check, shows how duty cycle moves energy between
+the even and odd harmonics, and how an element's switching delay advances
+its coefficient's phase.
 """
 
 import numpy as np
@@ -11,6 +12,7 @@ import numpy as np
 from risbeam import (
     ModulationWaveform,
     ReflectionPair,
+    element_delay,
     fourier_coefficient,
     fourier_coefficients_numeric,
 )
@@ -46,12 +48,13 @@ def main():
 
     print()
     print("delay moves coefficient phase but not magnitude:")
-    for frac in (0.0, 0.25, 0.5):
-        delayed = ModulationWaveform(pair, f0=F0, tau=frac / F0)
-        c1 = fourier_coefficient(delayed, 1)
+    c1_undelayed = fourier_coefficient(half, 1)
+    for psi in (0.0, 270.0, 180.0):
+        # the element switched element_delay(psi) late carries c_1(0) * exp(j psi)
+        c1 = c1_undelayed * np.exp(1j * np.radians(psi))
         print(
-            f"  tau = {frac:4.2f} T0: |c_1| = {abs(c1):.10f}, "
-            f"phase = {np.degrees(np.angle(c1)):+8.3f} deg"
+            f"  psi = {psi:5.1f} deg, delay = {element_delay(psi, F0) * F0:4.2f} T0: "
+            f"|c_1| = {abs(c1):.10f}, phase = {np.degrees(np.angle(c1)):+8.3f} deg"
         )
 
 

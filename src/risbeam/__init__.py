@@ -50,8 +50,6 @@ _EXPORTS = {
     "schedule": (
         "SwitchSchedule",
         "build_switch_schedule",
-        "sample_gamma",
-        "sample_levels",
         "schedule_doc",
         "schedule_roundtrip_phases",
         "tick_table_text",

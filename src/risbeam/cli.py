@@ -11,13 +11,13 @@ Warnings go to stderr as one `warning: <message>` line each, before any
 from __future__ import annotations
 
 import argparse
+import cmath
 import contextlib
 import hashlib
 import json
 import math
 import sys
 import warnings
-from dataclasses import replace
 
 PHASE_BAND_CENTER_DEG = 180.0
 PHASE_BAND_HALF_WIDTH_DEG = 12.0
@@ -200,9 +200,7 @@ def build_waveform(cfg: Config) -> modulation.ModulationWaveform:
     pair = resolve_pair(cfg)[1]
     f0 = cfg["waveform.f0_hz"]
     with _naming("waveform.f0_hz", "waveform.duty"):
-        return modulation.ModulationWaveform(
-            pair=pair, f0=f0, tau=0.0, t_pw=cfg["waveform.duty"] / f0
-        )
+        return modulation.ModulationWaveform(pair=pair, f0=f0, t_pw=cfg["waveform.duty"] / f0)
 
 
 def _read_phases(text: str, field: str) -> list:
@@ -285,17 +283,20 @@ def cmd_gamma(args, cfg):
 
 
 def cmd_coeffs(args, cfg):
-    from . import farfield, modulation
+    from . import modulation
 
     if args.max_harmonic < 0:
         raise ConfigError(f"--max-harmonic must be >= 0, got {args.max_harmonic}")
+    psi = 0.0 if args.phase is None else args.phase
+    if not math.isfinite(psi):
+        raise ConfigError(f"--phase must be finite, got {psi}")
+    # the advance harmonic_field applies: c_m(0) * exp(j m psi), psi reduced first
+    # so that m * psi stays small
+    psi = math.radians(psi % 360.0)
     waveform = build_waveform(cfg)
-    if args.phase is not None:
-        with _naming("--phase"):
-            waveform = replace(waveform, tau=farfield.element_delay(args.phase, waveform.f0))
     rows = []
     for m in range(-args.max_harmonic, args.max_harmonic + 1):
-        c = modulation.fourier_coefficient(waveform, m)
+        c = modulation.fourier_coefficient(waveform, m) * cmath.exp(1j * m * psi)
         rows.append((m, c))
     doc = {
         "config_hash": cfg.hash,

@@ -44,6 +44,11 @@ class MeasuredSweep:
     metadata: dict
 
     def __post_init__(self):
+        for column in ("azimuth_deg", "p_plus1_dbm", "p_minus1_dbm"):
+            cells = np.asarray(getattr(self, column), dtype=float)
+            if not np.isfinite(cells).all():
+                bad = cells[~np.isfinite(cells)].flat[0]
+                raise SweepFormatError(f"{column}: cells must be finite, got {bad}")
         az = np.asarray(self.azimuth_deg, dtype=float)
         if az.size == 0:
             raise SweepFormatError("sweep contains no samples")
@@ -66,8 +71,8 @@ class MeasuredSweep:
         return float(self.azimuth_deg[1] - self.azimuth_deg[0])
 
     def amplitudes(self, harmonic: int) -> np.ndarray:
-        """Linear amplitudes 10^(dBm/20) of a harmonic's column; every cell must be
-        finite and some cell nonzero."""
+        """Linear amplitudes 10^(dBm/20) of a harmonic's column; every amplitude must
+        be finite and some amplitude nonzero."""
         if harmonic == 1:
             column, dbm = "p_plus1_dbm", self.p_plus1_dbm
         elif harmonic == -1:

@@ -141,11 +141,11 @@ def harmonic_field(
 
     profile is any sequence of per-element baseband phases in degrees (a
     PhaseProfile iterates over its phases), ordered x-fastest (row by row).
-    Element p's coefficient is c_m(0) * exp(j m psi_p), the template's
-    undelayed coefficient (its own tau is ignored) advanced as element_delay
-    realizes it.  On the azimuth cut the rows add in phase, so F is element(phi)
-    times sum_p a_p z^p over the column sums a_p, with z = exp(j k dx cos phi),
-    evaluated by Horner's rule: one exponential per angle.
+    Element p's coefficient is c_m(0) * exp(j m psi_p), the waveform's
+    coefficient advanced as element_delay realizes it.  On the azimuth cut
+    the rows add in phase, so F is element(phi) times sum_p a_p z^p over the
+    column sums a_p, with z = exp(j k dx cos phi), evaluated by Horner's
+    rule: one exponential per angle.
     """
     import numpy as np
 
@@ -155,7 +155,7 @@ def harmonic_field(
             f"profile has {len(phases)} phases for {geometry.element_count} elements"
         )
     az = np.asarray(azimuth_deg, dtype=float)
-    c0 = fourier_coefficient(replace(waveform_template, tau=0.0), m)
+    c0 = fourier_coefficient(waveform_template, m)
     coeffs = c0 * np.exp(1j * m * np.radians(phases))
     columns = coeffs.reshape(geometry.m_rows, geometry.n_cols).sum(axis=0)
     z = np.exp(1j * (2.0 * math.pi / geometry.lambda_c) * geometry.dx * np.cos(np.radians(az)))

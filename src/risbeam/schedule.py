@@ -4,16 +4,16 @@ A controller running the baseband at f0 divides each period into ticks;
 channel p rises at the tick nearest the delay farfield.element_delay gives
 its profile phase psi, i.e. at (-psi mod 360) * ticks / 360, and falls half
 a period later (50% duty).  Logic high maps to the pulse reflection state
-(pair.gamma_off); swapping that mapping only flips the sign of the state
-difference, a global phase with no effect on pattern magnitudes.
+(pair.gamma_off), so the channel drives the element's waveform delayed by
+element_delay(psi), whose m-th coefficient is c_m(0) * exp(j m psi); swapping
+that mapping only flips the sign of the state difference, a global phase with
+no effect on pattern magnitudes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from .circuit import ReflectionPair
 
 DEFAULT_TICKS_PER_PERIOD = 360
 # Logic-high level of the controller outputs; schedule_doc reports it.
@@ -74,28 +74,6 @@ def schedule_roundtrip_phases(s: SwitchSchedule) -> list[float]:
     """Recover per-channel phases; error bounded by half a tick in degrees."""
     n = s.ticks_per_period
     return [(-rise) % n * 360.0 / n for rise, _fall in s.channels]
-
-
-def sample_levels(s: SwitchSchedule, t):
-    """Logic level (0/1) of every channel at time(s) t."""
-    import numpy as np
-
-    pos = (np.asarray(t, dtype=float) % s.period) * s.f0 * s.ticks_per_period
-    half = s.ticks_per_period / 2.0
-    out = []
-    for rise, _fall in s.channels:
-        rel = (pos - rise) % s.ticks_per_period
-        level = (rel < half).astype(int)
-        out.append(int(level) if np.ndim(t) == 0 else level)
-    return out
-
-
-def sample_gamma(s: SwitchSchedule, t, pair: ReflectionPair, channel: int = 0):
-    """Reflection state driven by one channel: high -> pulse state (gamma_off)."""
-    import numpy as np
-
-    level = sample_levels(s, t)[channel]
-    return np.where(np.asarray(level, dtype=bool), pair.gamma_off, pair.gamma_on)
 
 
 def tick_table_text(s: SwitchSchedule) -> str:

@@ -3,6 +3,7 @@
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 """
 
+import cmath
 import math
 import time
 
@@ -15,21 +16,17 @@ from risbeam.farfield import (
     ArrayGeometry,
     ElementPatternModel,
     dominance_direction,
-    element_delay,
     harmonic_field,
     pattern_sweep,
 )
-from risbeam.modulation import (
-    ModulationWaveform,
-    fourier_coefficient,
-    fourier_coefficients_numeric,
-)
+from risbeam.modulation import ModulationWaveform, fourier_coefficient
 from risbeam.steering import (
     SteeringRequest,
     optimize_profile_search,
     progressive_phase_profile,
     steering_catalog,
 )
+from waveform_oracle import DelayedWaveform, sample_gamma
 
 F0 = 313.0
 T0 = 1.0 / F0
@@ -110,26 +107,30 @@ def test_criterion_4_closed_form_vs_quadrature():
             mag_off * np.exp(1j * rng.uniform(0, 2 * np.pi)),
         )
         duty = rng.uniform(0.05, 0.95)
-        w = ModulationWaveform(pair, f0=F0, tau=rng.uniform(0, T0), t_pw=duty * T0)
-        numeric = fourier_coefficients_numeric(w, ms, 1_000_000)
+        w = ModulationWaveform(pair, f0=F0, t_pw=duty * T0)
+        # the element switched element_delay(psi) late, a random delay in [0, T0)
+        psi = rng.uniform(0.0, 360.0)
+        delayed = DelayedWaveform.advanced(w, psi)
+        numeric = delayed.coefficients_numeric(ms, 1_000_000)
         for m in ms:
-            err = abs(fourier_coefficient(w, m) - numeric[m])
+            # the delayed closed form, and the library's advance c_m(0) * exp(j m psi)
+            advanced = fourier_coefficient(w, m) * cmath.exp(1j * m * math.radians(psi))
+            err = max(abs(delayed.coefficient(m) - numeric[m]), abs(advanced - numeric[m]))
             worst = max(worst, err)
             assert err < 1e-6
         # even harmonics vanish at exactly 50% duty
-        w_half = ModulationWaveform(pair, f0=F0, tau=w.tau, t_pw=T0 / 2.0)
+        w_half = ModulationWaveform(pair, f0=F0, t_pw=T0 / 2.0)
         for m in (2, 4, 6, 8, -2, -4, -6, -8):
             assert abs(fourier_coefficient(w_half, m)) < 1e-12
+            assert abs(DelayedWaveform(w_half, delayed.tau).coefficient(m)) < 1e-12
         # |c_m| independent of the delay
         for tau in (0.0, 0.25 * T0, 0.6 * T0, 0.99 * T0):
-            w_tau = ModulationWaveform(pair, f0=F0, tau=tau, t_pw=w.t_pw)
+            w_tau = DelayedWaveform(w, tau)
             for m in (1, 3, 9):
-                assert abs(
-                    abs(fourier_coefficient(w_tau, m)) - abs(fourier_coefficient(w, m))
-                ) < 1e-12
+                assert abs(abs(w_tau.coefficient(m)) - abs(fourier_coefficient(w, m))) < 1e-12
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
-    _report(4, f"200 waveforms x 18 harmonics, worst |closed-quadrature| = {worst:.2e}, {elapsed:.1f} s")
+    _report(4, f"200 delayed waveforms x 18 harmonics, worst |closed-quadrature| = {worst:.2e}, {elapsed:.1f} s")
 
 
 def test_criterion_5_circuit_metrics():
@@ -203,7 +204,7 @@ def test_criterion_7_optimizer_matches_brute_force():
 
 
 def test_criterion_8_schedule_round_trip():
-    from risbeam.schedule import build_switch_schedule, sample_gamma, schedule_roundtrip_phases
+    from risbeam.schedule import build_switch_schedule, schedule_roundtrip_phases
 
     rng = np.random.default_rng(8)
     checked = 0
@@ -212,7 +213,7 @@ def test_criterion_8_schedule_round_trip():
         assert schedule_roundtrip_phases(sched) == [float(p) for p in case.psi_deg]
         t = rng.uniform(0, 5.0 * T0, size=10_000)
         for ch, psi in enumerate(case.psi_deg):
-            w = ModulationWaveform(IDEAL.pair, f0=F0, tau=element_delay(psi, F0))
+            w = DelayedWaveform.advanced(IDEAL, psi)
             pos = (t % T0) * F0 * 360.0
             rise, fall = sched.channels[ch]
             near_edge = np.minimum(

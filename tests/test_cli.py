@@ -1,13 +1,17 @@
+import contextlib
+import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from risbeam.circuit import ReflectionPair
 from risbeam.cli import main
 from risbeam.compare import format_measured_sweep, synthesize_measured_sweep
-from risbeam.farfield import ArrayGeometry, ElementPatternModel
+from risbeam.farfield import ArrayGeometry, ElementPatternModel, harmonic_field
 from risbeam.modulation import ModulationWaveform
 
 GEO = ArrayGeometry.half_wavelength_linear(4)
@@ -414,6 +418,62 @@ def test_bad_flag_exits_2_naming_the_flag(capsys, argv, flag):
     err = capsys.readouterr().err
     assert code == 2
     assert flag in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("phase", ["nan", "inf", "-inf"])
+def test_non_finite_phase_exits_2_naming_the_flag(capsys, phase):
+    code, out, err = run(capsys, "coeffs", f"--phase={phase}")
+    assert code == 2 and out == ""
+    assert err == f"error: --phase must be finite, got {float(phase)}\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "doc"])
+def test_phase_is_taken_mod_360(capsys, fmt):
+    assert run(capsys, "coeffs", "--phase", "405", "--format", fmt) == run(
+        capsys, "coeffs", "--phase", "45", "--format", fmt
+    )
+
+
+def test_huge_phase_prints_finite_rows(capsys):
+    code, out, err = run(capsys, "coeffs", "--phase", "1e308", "--max-harmonic", "200")
+    assert code == 0 and err == ""
+    rows = csv_rows(out)[1:]
+    assert len(rows) == 401
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row.split(","))
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("coeffs")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    psi=st.floats(allow_nan=False, allow_infinity=False),
+    max_harmonic=st.integers(0, 12),
+    duty=st.floats(0.05, 0.95),
+    pair=st.tuples(*[st.floats(-0.7, 0.7)] * 4),
+)
+@example(psi=45.0, max_harmonic=5, duty=0.5, pair=(1.0, 0.0, -1.0, 0.0))
+@example(psi=-1e-300, max_harmonic=3, duty=0.3, pair=(0.5, 0.1, -0.2, 0.6))
+def test_coeffs_phase_is_the_advance_the_field_applies(config_dir, psi, max_harmonic, duty, pair):
+    # each row of coeffs --phase psi is the coefficient harmonic_field gives
+    # one isotropic element of phase psi mod 360
+    on, off = complex(*pair[:2]), complex(*pair[2:])
+    waveform = {"gamma_on": pair[:2], "gamma_off": pair[2:], "duty": duty}
+    cfg = config_dir / "cfg.json"
+    cfg.write_text(json.dumps({"waveform": waveform}))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["coeffs", "--config", str(cfg), "--format", "doc",
+                     "--max-harmonic", str(max_harmonic), f"--phase={psi!r}"])
+    assert code == 0
+    w = ModulationWaveform(ReflectionPair(on, off), f0=313.0, t_pw=duty / 313.0)
+    one = ArrayGeometry.half_wavelength_linear(1)
+    bound = 1e-15 * max(abs(on), abs(off))
+    for row in json.loads(out.getvalue())["coefficients"]:
+        field = harmonic_field(one, ISO, [psi % 360.0], w, row["m"], 90.0)
+        assert abs(row["re"] - field.real) <= bound and abs(row["im"] - field.imag) <= bound
 
 
 def test_explicit_zero_grid_step_is_not_a_default(capsys):

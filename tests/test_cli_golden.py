@@ -35,7 +35,7 @@ GOLDEN = {
     "coeffs --config ref.json --max-harmonic 7 --phase 90":
         "e0b154015784b9e810fef72561c04fbf2f0cdf28365fd2d10697de2ebb4609bc",
     "coeffs --phase 45 --format doc":
-        "ccc6b042fbff200f2ad1eeff0212d0d9e82c9ca90771f36f177a6934623de51a",
+        "d91b64bb11bf637e88237ac4d0141d87c61741291f47f5faad523359256a87de",
     "pattern --config ref.json --table2-row 2 --harmonic -1 --grid-step 0.5":
         "a28710b87727c7923305694893db513051ce3f2bcd247fb7bb2ecc4fe1a94d9c",
     "pattern --profile 0,270,180,90 --format doc --normalization raw":

@@ -90,6 +90,16 @@ def test_non_finite_cell_is_format_error(row):
         parse_measured_sweep(text)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("column", ["azimuth_deg", "p_plus1_dbm", "p_minus1_dbm"])
+def test_non_finite_cell_is_refused_when_built(column, bad):
+    cells = {"azimuth_deg": [0.0, 10.0, 20.0], "p_plus1_dbm": [-40.0] * 3,
+             "p_minus1_dbm": [-40.0] * 3}
+    cells[column][0] = bad
+    with pytest.raises(SweepFormatError, match=f"^{column}: cells must be finite, got {bad}$"):
+        MeasuredSweep(**cells, metadata={})
+
+
 def test_duplicate_and_nonuniform_grids_rejected():
     with pytest.raises(SweepFormatError):
         MeasuredSweep(np.array([0.0, 0.0]), np.zeros(2), np.zeros(2), {})

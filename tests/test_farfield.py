@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from risbeam.farfield import (
     UndefinedDominanceError,
     default_q_exponent,
     dominance_direction,
-    element_delay,
     harmonic_field,
     pattern_csv,
     pattern_doc,
@@ -25,6 +23,7 @@ from risbeam.compare import compare_sweep, synthesize_measured_sweep
 from risbeam.modulation import ModulationWaveform, fourier_coefficient
 from risbeam.schedule import build_switch_schedule
 from risbeam.steering import quantize_profile
+from waveform_oracle import DelayedWaveform, reference_field
 
 F0 = 313.0
 GEO = ArrayGeometry.half_wavelength_linear(4)
@@ -70,12 +69,7 @@ def test_single_element_field_is_element_times_coefficient():
     geo1 = ArrayGeometry.half_wavelength_linear(1)
     for az in (90.0, 60.0, 130.0):
         f = harmonic_field(geo1, COS, [123.0], REALISTIC, 1, az)
-        c = fourier_coefficient(
-            ModulationWaveform(
-                REALISTIC.pair, f0=F0, tau=element_delay(123.0, F0)
-            ),
-            1,
-        )
+        c = DelayedWaveform.advanced(REALISTIC, 123.0).coefficient(1)
         assert abs(f) == pytest.approx(COS.eval(az) * abs(c), rel=1e-12)
 
 
@@ -254,19 +248,6 @@ def test_in_phase_broadside_gain_is_element_count(size, dx_wl, psi, m):
     assert 20.0 * math.log10(array / single) == pytest.approx(20.0 * math.log10(n), abs=1e-9)
 
 
-def reference_field(geometry, model, profile, waveform, m, azimuth_deg):
-    """F_m summed element by element, each coefficient from the template delayed
-    by element_delay; element i sits in column i % n_cols."""
-    az = np.atleast_1d(np.asarray(azimuth_deg, dtype=float))
-    k = 2.0 * math.pi / geometry.lambda_c
-    total = np.zeros(az.shape, dtype=complex)
-    for i, psi in enumerate(profile):
-        delayed = replace(waveform, tau=element_delay(float(psi), waveform.f0))
-        path = k * (i % geometry.n_cols) * geometry.dx * np.cos(np.radians(az))
-        total += fourier_coefficient(delayed, m) * model.eval(az) * np.exp(1j * path)
-    return complex(total[0]) if np.ndim(azimuth_deg) == 0 else total
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     size=grids,
@@ -275,21 +256,18 @@ def reference_field(geometry, model, profile, waveform, m, azimuth_deg):
     pair=st.sampled_from([IDEAL.pair, REALISTIC.pair]),
     m=st.sampled_from([1, -1, 2, -2, 3, -3]),
     duty=st.floats(0.05, 0.95),
-    tau=st.floats(0.0, 0.99),
     psi=st.lists(st.floats(0.0, 359.99), min_size=16, max_size=16),
 )
 @example(
-    size=(4, 4), dx_wl=0.5, model=COS, pair=REALISTIC.pair, m=3, duty=0.3, tau=0.25,
+    size=(4, 4), dx_wl=0.5, model=COS, pair=REALISTIC.pair, m=3, duty=0.3,
     psi=[0.0, 90.0, 180.0, 270.0, 45.0, 135.0, 225.0, 315.0] * 2,
 )
-def test_field_is_the_sum_of_delayed_element_coefficients(
-    size, dx_wl, model, pair, m, duty, tau, psi
-):
-    # c_m(0) * exp(j m psi) is the coefficient of the template delayed by
-    # element_delay(psi), in phase as well as in magnitude; the template's tau is ignored
+def test_field_is_the_sum_of_delayed_element_coefficients(size, dx_wl, model, pair, m, duty, psi):
+    # c_m(0) * exp(j m psi) is the coefficient of the waveform delayed by
+    # element_delay(psi), in phase as well as in magnitude
     geo = planar(*size, dx_wl)
     psi = psi[: geo.element_count]
-    waveform = ModulationWaveform(pair, f0=F0, tau=tau / F0, t_pw=duty / F0)
+    waveform = ModulationWaveform(pair, f0=F0, t_pw=duty / F0)
     grid = np.arange(0.0, 360.0, 5.0)
     got = harmonic_field(geo, model, psi, waveform, m, grid)
     ref = reference_field(geo, model, psi, waveform, m, grid)

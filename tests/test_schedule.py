@@ -1,3 +1,6 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,7 +11,6 @@ from risbeam.farfield import (
     ElementPatternModel,
     HarmonicPattern,
     dominance_direction,
-    element_delay,
     pattern_sweep,
 )
 from risbeam.modulation import ModulationWaveform, fourier_coefficient
@@ -16,12 +18,11 @@ from risbeam.schedule import (
     ScheduleStructureError,
     SwitchSchedule,
     build_switch_schedule,
-    sample_gamma,
-    sample_levels,
     schedule_doc,
     schedule_roundtrip_phases,
     tick_table_text,
 )
+from waveform_oracle import DelayedWaveform, sample_gamma, sample_levels
 
 F0 = 313.0
 PAIR = ReflectionPair(1.0, -1.0)
@@ -98,7 +99,7 @@ def test_schedule_reproduces_waveform_states():
     s = build_switch_schedule(psi, F0, 360)
     t = rng.uniform(0, 3.0 / F0, size=2000)
     for ch, phase in enumerate(psi):
-        w = ModulationWaveform(PAIR, f0=F0, tau=element_delay(phase, F0))
+        w = DelayedWaveform.advanced(ModulationWaveform(PAIR, f0=F0), phase)
         # skip samples too close to a switch edge
         pos = (t % w.period) * F0 * 360.0
         near_edge = np.minimum(
@@ -119,7 +120,8 @@ def test_schedule_reproduces_waveform_states():
 )
 @example(ticks=360, steps=[0, 270, 180, 90], m=1)
 def test_sampled_schedule_drives_the_modelled_harmonics(ticks, steps, m):
-    # a tick-aligned profile: channel p switches exactly like element_delay(psi_p)
+    # a tick-aligned profile: channel p switches exactly like element_delay(psi_p),
+    # so its sampled harmonics are the modelled c_m(0) * exp(j m psi_p)
     psi = [k % ticks * 360.0 / ticks for k in steps]
     s = build_switch_schedule(psi, F0, ticks)
     # 3600 midpoint samples per period; every switch edge lies between two samples,
@@ -128,10 +130,8 @@ def test_sampled_schedule_drives_the_modelled_harmonics(ticks, steps, m):
     t = (np.arange(n) + 0.5) / (n * F0)
     kernel = np.exp(-2j * np.pi * m * F0 * t)
     sampled = [complex(np.mean(sample_gamma(s, t, PAIR, ch) * kernel)) for ch in range(len(psi))]
-    model = [
-        fourier_coefficient(ModulationWaveform(PAIR, f0=F0, tau=element_delay(p, F0)), m)
-        for p in psi
-    ]
+    c0 = fourier_coefficient(ModulationWaveform(PAIR, f0=F0), m)
+    model = [c0 * cmath.exp(1j * m * math.radians(p)) for p in psi]
     assert np.max(np.abs(np.subtract(sampled, model))) <= 1e-6
     if m % 2 == 0:
         return  # even harmonics of a 50% duty waveform vanish: no dominance to compare

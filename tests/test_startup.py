@@ -48,11 +48,13 @@ EXPORTED = """
     load_measured_sweep modulation modulation_metrics optimize_profile_search
     parse_impedance_table parse_measured_sweep pattern_csv pattern_doc pattern_sweep
     profile_doc progressive_phase_profile quantize_profile
-    reflection_coefficient sample_gamma sample_levels schedule
+    reflection_coefficient schedule
     schedule_doc schedule_roundtrip_phases steering steering_catalog
     synthesize_measured_sweep tick_table_text __version__
 """.split()
-REMOVED = "tick_table delay_from_phase phase_from_delay reconstruct_gamma".split()
+REMOVED = """
+    tick_table delay_from_phase phase_from_delay reconstruct_gamma sample_gamma sample_levels
+""".split()
 
 
 def child(args, cwd):

@@ -19,7 +19,7 @@ from risbeam.steering import (
     quantize_profile,
     steering_catalog,
 )
-from test_farfield import reference_field
+from waveform_oracle import reference_field
 
 GEO = ArrayGeometry.half_wavelength_linear(4)
 ISO = ElementPatternModel.isotropic()
