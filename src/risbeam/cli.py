@@ -511,12 +511,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv: list) -> list:
+    """Write `--flag -1e-5` as `--flag=-1e-5` for every flag of FLAGS.
+
+    argparse takes a token that starts with '-' for a value only when it reads
+    as a plain negative number, which leaves out exponent forms such as -1e-5
+    and a profile such as -45,0,0,0.  A token joins the flag before it (or an
+    abbreviation argparse may expand to it) when float() reads it, or for a
+    comma list its first field.
+    """
+    out = []
+    for i, token in enumerate(argv):
+        if token == "--":
+            return out + argv[i:]
+        flag = out[-1] if out else ""
+        if (
+            flag.startswith("--") and any(name.startswith(flag) for name in FLAGS)
+            and token.startswith("-") and _reads_as_float(token.split(",", 1)[0])
+        ):
+            out[-1] = f"{flag}={token}"
+        else:
+            out.append(token)
+    return out
+
+
+def _reads_as_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _print_warning(message, *_):
     print(f"warning: {message}", file=sys.stderr)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_join_negative_values(argv))
     with warnings.catch_warnings():
         # each UserWarning prints, repeats included, as it is raised, so before
         # any error line; other filters (such as error::RuntimeWarning) still apply

@@ -28,6 +28,9 @@ from .steering import FRONT_SECTOR
 
 SWEEP_HEADER = "azimuth_deg,p_plus1_dbm,p_minus1_dbm"
 ZERO_FLOOR_DBM = -120.0
+# The largest magnitude whose %.10g text reads back finite: a cell nearer the
+# largest double prints as 1.797693135e+308, which reads back as inf.
+MAX_CELL = 1.797693134e308
 
 
 class SweepFormatError(ValueError):
@@ -44,12 +47,25 @@ class MeasuredSweep:
     metadata: dict
 
     def __post_init__(self):
-        for column in ("azimuth_deg", "p_plus1_dbm", "p_minus1_dbm"):
+        az = np.asarray(self.azimuth_deg, dtype=float)
+        for column in SWEEP_HEADER.split(","):
             cells = np.asarray(getattr(self, column), dtype=float)
+            if cells.ndim != 1:
+                raise SweepFormatError(
+                    f"{column}: cells must form one column, got shape {cells.shape}"
+                )
             if not np.isfinite(cells).all():
                 bad = cells[~np.isfinite(cells)].flat[0]
                 raise SweepFormatError(f"{column}: cells must be finite, got {bad}")
-        az = np.asarray(self.azimuth_deg, dtype=float)
+            if (np.abs(cells) > MAX_CELL).any():
+                bad = cells[np.abs(cells) > MAX_CELL].flat[0]
+                raise SweepFormatError(
+                    f"{column}: cells must lie within ±{MAX_CELL:.10g}, got {bad}"
+                )
+            if cells.size != az.size:
+                raise SweepFormatError(
+                    f"{column}: {cells.size} cells, but azimuth_deg has {az.size}"
+                )
         if az.size == 0:
             raise SweepFormatError("sweep contains no samples")
         if np.any(az < 0.0) or np.any(az >= 360.0):
@@ -123,7 +139,7 @@ def parse_measured_sweep(text: str) -> MeasuredSweep:
 
 
 def _convert_rows(rows: list, linenos: list) -> np.ndarray:
-    """The data lines as an (n, 3) array of finite floats, all cells converted
+    """The data lines as an (n, 3) array of cells within ±MAX_CELL, all converted
     at once; on any fault the lines are checked one by one in file order."""
     if {line.count(",") for line in rows} == {2}:
         try:
@@ -131,7 +147,8 @@ def _convert_rows(rows: list, linenos: list) -> np.ndarray:
         except ValueError:
             pass
         else:
-            if np.isfinite(cells).all():
+            # a NaN fails both comparisons
+            if -MAX_CELL <= cells.min() and cells.max() <= MAX_CELL:
                 return cells
     values = []
     for lineno, line in zip(linenos, rows):
@@ -144,6 +161,10 @@ def _convert_rows(rows: list, linenos: list) -> np.ndarray:
             raise SweepFormatError(f"line {lineno}: {exc}") from exc
         if not all(map(math.isfinite, row)):
             raise SweepFormatError(f"line {lineno}: cells must be finite, got {line!r}")
+        if max(map(abs, row)) > MAX_CELL:
+            raise SweepFormatError(
+                f"line {lineno}: cells must lie within ±{MAX_CELL:.10g}, got {line!r}"
+            )
         values.append(row)
     return np.array(values, dtype=float).reshape(-1, 3)
 

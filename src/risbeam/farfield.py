@@ -129,6 +129,33 @@ def element_delay(psi_deg: float, f0: float) -> float:
     return ((((-psi_deg) % 360.0) % 360.0) / 360.0) / f0
 
 
+def _field_terms(geometry, element_model, waveform_template, m, azimuth_deg):
+    """What a field needs besides the profile: c_m(0), z = exp(j k dx cos phi)
+    and the element gain, at the azimuth(s)."""
+    import numpy as np
+
+    az = np.asarray(azimuth_deg, dtype=float)
+    c0 = fourier_coefficient(waveform_template, m)
+    z = np.exp(1j * (2.0 * math.pi / geometry.lambda_c) * geometry.dx * np.cos(np.radians(az)))
+    return c0, z, element_model.eval(az)
+
+
+def _element_coefficients(c0, m, phases_deg):
+    """c_m(0) * exp(j m psi) for each phase psi in degrees, as an array."""
+    import numpy as np
+
+    return c0 * np.exp(1j * m * np.radians(phases_deg))
+
+
+def _array_sum(coeffs, geometry, z):
+    """sum_p a_p z^p over the column sums a_p of the element coefficients
+    (x-fastest), by Horner's rule from the last column to the first."""
+    acc = 0j
+    for a_p in coeffs.reshape(geometry.m_rows, geometry.n_cols).sum(axis=0)[::-1]:
+        acc = acc * z + a_p
+    return acc
+
+
 def harmonic_field(
     geometry: ArrayGeometry,
     element_model: ElementPatternModel,
@@ -154,15 +181,8 @@ def harmonic_field(
         raise ValueError(
             f"profile has {len(phases)} phases for {geometry.element_count} elements"
         )
-    az = np.asarray(azimuth_deg, dtype=float)
-    c0 = fourier_coefficient(waveform_template, m)
-    coeffs = c0 * np.exp(1j * m * np.radians(phases))
-    columns = coeffs.reshape(geometry.m_rows, geometry.n_cols).sum(axis=0)
-    z = np.exp(1j * (2.0 * math.pi / geometry.lambda_c) * geometry.dx * np.cos(np.radians(az)))
-    acc = 0j
-    for a_p in columns[::-1]:
-        acc = acc * z + a_p
-    total = element_model.eval(az) * acc
+    c0, z, gain = _field_terms(geometry, element_model, waveform_template, m, azimuth_deg)
+    total = gain * _array_sum(_element_coefficients(c0, m, phases), geometry, z)
     return complex(total) if np.ndim(azimuth_deg) == 0 else total
 
 

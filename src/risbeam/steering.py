@@ -15,7 +15,8 @@ import warnings
 from dataclasses import dataclass
 
 from .farfield import (
-    ROUNDING_REL, ArrayGeometry, ElementPatternModel, harmonic_field, steps_per_turn,
+    ROUNDING_REL, ArrayGeometry, ElementPatternModel,
+    _array_sum, _element_coefficients, _field_terms, steps_per_turn,
 )
 from .modulation import ModulationWaveform, fourier_coefficient
 
@@ -143,37 +144,44 @@ def optimize_profile_search(
     ROUNDING_REL relative, so the field's summation order cannot pick the
     result.  Stops after a full pass without improvement, or returns the
     best-so-far flagged non-converged after MAX_PASSES.
+
+    c_m(0), z and the element gain at the target, and the coefficient
+    c_m(0) * exp(j m psi) of every level, are computed once per request by the
+    helpers harmonic_field uses; a candidate then costs its column sums, the
+    shared Horner sum, one gain multiply and abs.  So every objective value is
+    abs(harmonic_field(...)) of its profile, to the last bit.
     """
     require_power(waveform_template, req.harmonic)
     phases = list(progressive_phase_profile(req))
-
-    def objective(ph):
-        return abs(
-            harmonic_field(
-                req.geometry, element_model, ph, waveform_template,
-                req.harmonic, req.desired_azimuth_deg,
-            )
-        )
-
+    geometry, m = req.geometry, req.harmonic
+    c0, z, gain = _field_terms(
+        geometry, element_model, waveform_template, m, req.desired_azimuth_deg
+    )
     levels = [i * req.resolution_deg for i in range(steps_per_turn(req.resolution_deg))]
-    best = objective(phases)
+    level_coeffs = list(_element_coefficients(c0, m, levels))
+    coeffs = _element_coefficients(c0, m, phases)
+
+    def objective():
+        return abs(complex(gain * _array_sum(coeffs, geometry, z)))
+
+    best = objective()
     converged = False
     passes = 0
     while passes < MAX_PASSES:
         passes += 1
         improved = False
         for i in range(1, len(phases)):
-            current = phases[i]
-            for cand in levels:
+            current, current_coeff = phases[i], coeffs[i]
+            for cand, cand_coeff in zip(levels, level_coeffs):
                 if cand == current:
                     continue
-                phases[i] = cand
-                val = objective(phases)
+                coeffs[i] = cand_coeff
+                val = objective()
                 if val > best * (1.0 + ROUNDING_REL):
                     best = val
-                    current = cand
+                    current, current_coeff = cand, cand_coeff
                     improved = True
-            phases[i] = current
+            phases[i], coeffs[i] = current, current_coeff
         if not improved:
             converged = True
             break

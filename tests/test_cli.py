@@ -546,3 +546,61 @@ def test_compare_bad_profile_metadata_names_file_and_key(capsys, tmp_path):
     code, _, err = run(capsys, "compare", str(p))
     assert code == 2
     assert str(p) in err and "#psi_deg" in err
+
+
+def run_main(argv):
+    """(exit code, stdout, stderr) of main, argparse's own exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--phase", "-1e-5"],
+    ["steer", "--target", "-1e-3"],
+    ["pattern", "--profile", "-45,0,0,0", "--grid-step", "10"],
+])
+def test_negative_exponent_and_profile_values_are_read(argv):
+    code, out, err = run_main(argv)
+    assert code == 0 and out and "expected one argument" not in err
+
+
+negative = st.one_of(
+    st.floats(-1e6, -1e-300).map(repr),
+    st.floats(-1e6, -1e-6).map(lambda v: f"{v:e}"),
+    st.sampled_from(["-1e-5", "-1E3", "-.5e1", "-45", "-0.0", "-inf", "-nan", "-1_0"]),
+)
+later_phases = st.lists(st.sampled_from(["0", "90", "-1e-3", "180"]), min_size=3, max_size=3)
+# each flag in full or as an abbreviation argparse expands
+flag_values = st.one_of(
+    st.tuples(
+        st.just(["coeffs", "--max-harmonic", "2"]), st.sampled_from(["--phase", "--ph"]), negative
+    ),
+    st.tuples(st.just(["steer"]), st.sampled_from(["--target", "--tar"]), negative),
+    st.tuples(
+        st.just(["steer", "--target", "70"]), st.sampled_from(["--resolution", "--res"]), negative
+    ),
+    st.tuples(
+        st.just(["pattern", "--table2-row", "1"]), st.sampled_from(["--grid-step", "--gr"]),
+        negative,
+    ),
+    st.tuples(
+        st.just(["pattern", "--grid-step", "10"]), st.sampled_from(["--profile", "--pro"]),
+        st.tuples(negative, later_phases).map(lambda t: ",".join([t[0], *t[1]])),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=flag_values)
+@example(case=(["coeffs", "--max-harmonic", "2"], "--phase", "-1e-5"))
+@example(case=(["pattern", "--grid-step", "10"], "--profile", "-45,0,0,0"))
+@example(case=(["steer"], "--tar", "-1e-3"))
+def test_flag_value_reads_the_same_apart_or_joined(case):
+    # argparse alone reads "-1e-5" after a flag as an option, not as its value
+    argv, flag, value = case
+    assert run_main([*argv, flag, value]) == run_main([*argv, f"{flag}={value}"])

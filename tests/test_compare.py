@@ -1,8 +1,12 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 
 from risbeam.circuit import ReflectionPair
 from risbeam.compare import (
+    MAX_CELL,
     MeasuredSweep,
     SweepFormatError,
     compare_sweep,
@@ -100,6 +104,43 @@ def test_non_finite_cell_is_refused_when_built(column, bad):
         MeasuredSweep(**cells, metadata={})
 
 
+COLUMN_SHAPES = {
+    "short": ("p_plus1_dbm", [-40.0] * 2, "p_plus1_dbm: 2 cells, but azimuth_deg has 3"),
+    "long": ("p_plus1_dbm", [-40.0] * 4, "p_plus1_dbm: 4 cells, but azimuth_deg has 3"),
+    "short minus": ("p_minus1_dbm", [-40.0] * 2, "p_minus1_dbm: 2 cells, but azimuth_deg has 3"),
+    "scalar": ("azimuth_deg", 0.0, "azimuth_deg: cells must form one column, got shape ()"),
+    "row": (
+        "p_minus1_dbm", [[-40.0] * 3],
+        "p_minus1_dbm: cells must form one column, got shape (1, 3)",
+    ),
+}
+
+
+@pytest.mark.parametrize("column,value,message", COLUMN_SHAPES.values(), ids=COLUMN_SHAPES)
+def test_column_of_another_shape_is_refused_naming_it(column, value, message):
+    cells = {"azimuth_deg": [0.0, 10.0, 20.0], "p_plus1_dbm": [-40.0] * 3,
+             "p_minus1_dbm": [-40.0] * 3}
+    cells[column] = value
+    with pytest.raises(SweepFormatError) as info:
+        MeasuredSweep(**cells, metadata={})
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("bad", [sys.float_info.max, -sys.float_info.max, 1.7976931345e308])
+@pytest.mark.parametrize("column", ["p_plus1_dbm", "p_minus1_dbm"])
+def test_cell_beyond_the_text_range_is_refused_naming_its_column(column, bad):
+    # the largest double prints at %.10g as 1.797693135e+308, which reads back
+    # as inf; one rule refuses every cell above the largest that reads back
+    cells = {"azimuth_deg": [0.0, 10.0], "p_plus1_dbm": [-40.0] * 2, "p_minus1_dbm": [-40.0] * 2}
+    cells[column][1] = bad
+    with pytest.raises(SweepFormatError, match=f"^{column}: cells must lie within"):
+        MeasuredSweep(**cells, metadata={})
+    cells[column][1] = math.copysign(MAX_CELL, bad)
+    sweep = MeasuredSweep(**cells, metadata={})
+    back = parse_measured_sweep(format_measured_sweep(sweep))
+    assert getattr(back, column).tolist() == getattr(sweep, column).tolist()
+
+
 def test_duplicate_and_nonuniform_grids_rejected():
     with pytest.raises(SweepFormatError):
         MeasuredSweep(np.array([0.0, 0.0]), np.zeros(2), np.zeros(2), {})
@@ -178,6 +219,10 @@ PARSE_ERRORS = {
     "spaces, underscores and overflow": (
         f"{H}\n 0 , -40 , -42 \n1_0,-40,-42\n20,1e400,-42\n",
         "line 4: cells must be finite, got '20,1e400,-42'",
+    ),
+    "a cell beyond the text range before a non-number": (
+        f"{H}\n0,-40,-42\n10,-40,-1.7976931345e308\n20,x,-42\n",
+        "line 3: cells must lie within ±1.797693134e+308, got '10,-40,-1.7976931345e308'",
     ),
     "comments, blanks and late metadata": (
         f"#a=1\n{H}\n0,-40,-42\n\n# note\n10,-40,-42\n#b=2\n   \n20,-40\n",

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from risbeam import steering
 from risbeam.circuit import ReflectionPair
-from risbeam.farfield import ArrayGeometry, ElementPatternModel, harmonic_field
+from risbeam.farfield import ROUNDING_REL, ArrayGeometry, ElementPatternModel, harmonic_field
 from risbeam.modulation import ModulationWaveform, fourier_coefficient
 from risbeam.steering import (
     PhaseProfile,
@@ -19,7 +20,7 @@ from risbeam.steering import (
     quantize_profile,
     steering_catalog,
 )
-from waveform_oracle import reference_field
+from waveform_oracle import element_by_element_sum
 
 GEO = ArrayGeometry.half_wavelength_linear(4)
 ISO = ElementPatternModel.isotropic()
@@ -210,13 +211,89 @@ def test_search_keeps_the_closed_form_against_a_rounding_gain():
 def test_search_does_not_depend_on_the_summation_order(
     size, dx_wl, resolution, target, m, waveform, model
 ):
-    # the element-by-element reference sums the same field in another order
+    # the element-by-element sum adds the same field in another order
     req = SteeringRequest(target, m, planar(*size, dx_wl), resolution)
     kernel = optimize_profile_search(req, waveform, model)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(steering, "harmonic_field", reference_field)
+        patch.setattr(steering, "_array_sum", element_by_element_sum)
         reference = optimize_profile_search(req, waveform, model)
     assert (reference.profile, reference.passes) == (kernel.profile, kernel.passes)
+
+
+def parent_coordinate_ascent(req, waveform_template, element_model):
+    """The search as it was when every objective value was one harmonic_field
+    call, frozen as the reference for the search's bit identity."""
+    steering.require_power(waveform_template, req.harmonic)
+    phases = list(progressive_phase_profile(req))
+
+    def objective(ph):
+        return abs(
+            harmonic_field(
+                req.geometry, element_model, ph, waveform_template,
+                req.harmonic, req.desired_azimuth_deg,
+            )
+        )
+
+    levels = [i * req.resolution_deg for i in range(steering.steps_per_turn(req.resolution_deg))]
+    best = objective(phases)
+    converged = False
+    passes = 0
+    while passes < steering.MAX_PASSES:
+        passes += 1
+        improved = False
+        for i in range(1, len(phases)):
+            current = phases[i]
+            for cand in levels:
+                if cand == current:
+                    continue
+                phases[i] = cand
+                val = objective(phases)
+                if val > best * (1.0 + ROUNDING_REL):
+                    best = val
+                    current = cand
+                    improved = True
+            phases[i] = current
+        if not improved:
+            converged = True
+            break
+    return steering.OptimizationResult(
+        profile=PhaseProfile(tuple(phases), req.resolution_deg),
+        achieved=best,
+        passes=passes,
+        converged=converged,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    size=st.tuples(st.integers(1, 5), st.integers(1, 3)),
+    dx_wl=st.sampled_from([0.35, 0.5, 0.685, 0.9]),
+    # 360/7, 360/11 and 7.2 give levels i * resolution that are not exact
+    resolution=st.sampled_from([10.0, 30.0, 45.0, 7.2, 360.0 / 7.0, 360.0 / 11.0]),
+    target=st.floats(0.0, 360.0),
+    m=st.sampled_from([1, -1, 3, -3]),
+    waveform=st.sampled_from([REALISTIC, THIRTY, IDEAL]),
+    model=st.sampled_from([ISO, COS]),
+)
+@example(size=(4, 1), dx_wl=0.5, resolution=10.0, target=90.0, m=3, waveform=THIRTY, model=ISO)
+@example(size=(3, 1), dx_wl=0.5, resolution=360.0 / 7.0, target=69.0, m=1, waveform=IDEAL,
+         model=COS)
+def test_search_is_the_parent_coordinate_ascent_bit_for_bit(
+    size, dx_wl, resolution, target, m, waveform, model
+):
+    # the target-side terms computed once change no objective value, so the
+    # search takes the same path and ends on the same bits
+    req = SteeringRequest(target, m, planar(*size, dx_wl), resolution)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SectorWarning)
+        result = optimize_profile_search(req, waveform, model)
+        frozen = parent_coordinate_ascent(req, waveform, model)
+    assert (result.profile, result.achieved, result.passes, result.converged) == (
+        frozen.profile, frozen.achieved, frozen.passes, frozen.converged,
+    )
+    assert result.achieved == abs(harmonic_field(
+        req.geometry, model, result.profile, waveform, m, target,
+    ))
 
 
 def test_search_refuses_a_harmonic_with_no_power():

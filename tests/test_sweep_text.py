@@ -11,6 +11,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from risbeam.compare import (
+    MAX_CELL,
     SWEEP_HEADER,
     MeasuredSweep,
     format_measured_sweep,
@@ -57,9 +58,13 @@ def oracle_format_measured_sweep(sweep):
 SPECIAL = [
     0.0, -0.0, 5e-324, 1.5e-310, 2.2250738585072014e-308, 1e-300, -1e-300, 1.0, -1.0,
     0.1437854113105, 1 / 3, -2 / 3, 123456789012.5, 1234567890123456.0, 1e300,
+    MAX_CELL, -MAX_CELL, 1.7976931339999999e308,
 ]
-# bounded so that a cell rounded to 10 significant digits stays finite
-finite = st.one_of(st.sampled_from(SPECIAL), st.floats(-1e300, 1e300), st.floats(-200.0, 200.0))
+# every cell a MeasuredSweep accepts: at most MAX_CELL, so that a cell
+# rounded to 10 significant digits stays finite
+finite = st.one_of(
+    st.sampled_from(SPECIAL), st.floats(-MAX_CELL, MAX_CELL), st.floats(-200.0, 200.0)
+)
 cells = st.one_of(finite, st.sampled_from([math.nan, math.inf, -math.inf]))
 words = st.text("abcxyz_019.", min_size=1, max_size=6)
 metadata = st.dictionaries(words, st.one_of(words, st.integers()), max_size=3)

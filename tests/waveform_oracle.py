@@ -10,7 +10,8 @@ independent delayed computation:
   midpoint quadrature of gamma_at (coefficients_numeric).  None of these
   calls risbeam.modulation.fourier_coefficient.
 - reference_field sums an array's far field element by element from those
-  delayed coefficients.
+  delayed coefficients; element_by_element_sum adds given coefficients in the
+  same order, a stand-in for the library's column sums and Horner's rule.
 - sample_levels and sample_gamma sample a SwitchSchedule's channels in time.
 
 pytest does not collect this module (its name does not start with test_).
@@ -84,31 +85,28 @@ class DelayedWaveform:
     def coefficients_numeric(self, harmonics, steps: int = 1_000_000) -> dict:
         """Midpoint rule for (1/T0) * integral of gamma_at(t) exp(-j 2 pi m f0 t),
         {m: c_m}; the steps split at the switch edges, so that no interval
-        straddles one."""
-        times, weights = [], []
+        straddles one and gamma_at holds one state over each interval."""
         end = (self.tau + self.waveform.t_pw) % self.period
         edges = sorted({0.0, self.tau, end, self.period})
-        for a, b in zip(edges, edges[1:]):
-            n = max(1, round(steps * (b - a) / self.period))
-            times.append(a + (np.arange(n) + 0.5) * ((b - a) / n))
-            weights.append(np.full(n, (b - a) / n / self.period))
-        times, weights = np.concatenate(times), np.concatenate(weights)
         kmax = max((abs(int(m)) for m in harmonics), default=0)
         sums = dict.fromkeys(range(-kmax, kmax + 1), 0j)
-        # in chunks that stay in cache; the powers of the fundamental's phasor
-        # serve every order
-        for i in range(0, times.size, QUADRATURE_CHUNK):
-            t = times[i : i + QUADRATURE_CHUNK]
-            weighted = self.gamma_at(t) * weights[i : i + QUADRATURE_CHUNK]
-            conjugate = weighted.conj()
-            base = np.exp(-2j * np.pi * self.waveform.f0 * t)
-            power = np.ones_like(base)
-            sums[0] += complex(weighted.sum())
-            for k in range(1, kmax + 1):
-                power *= base
-                # np.vdot(a, b) is sum(conj(a) * b)
-                sums[k] += complex(np.vdot(conjugate, power))
-                sums[-k] += complex(np.vdot(power, weighted))
+        for a, b in zip(edges, edges[1:]):
+            n = max(1, round(steps * (b - a) / self.period))
+            h = (b - a) / n
+            # the interval's state times each step's weight h / T0
+            weighted = self.gamma_at(a + 0.5 * h) * (h / self.period)
+            sums[0] += weighted * n
+            # in chunks that stay in cache; the powers of the fundamental's
+            # phasor serve every order, and order -k takes their conjugates
+            for i in range(0, n, QUADRATURE_CHUNK):
+                t = a + (np.arange(i, min(n, i + QUADRATURE_CHUNK)) + 0.5) * h
+                base = np.exp(-2j * np.pi * self.waveform.f0 * t)
+                power = np.ones_like(base)
+                for k in range(1, kmax + 1):
+                    power *= base
+                    total = complex(power.sum())
+                    sums[k] += weighted * total
+                    sums[-k] += weighted * total.conjugate()
         return {int(m): sums[int(m)] for m in harmonics}
 
 
@@ -123,6 +121,17 @@ def reference_field(geometry, model, profile, waveform, m, azimuth_deg):
         path = k * (i % geometry.n_cols) * geometry.dx * np.cos(np.radians(az))
         total += coefficient * model.eval(az) * np.exp(1j * path)
     return complex(total[0]) if np.ndim(azimuth_deg) == 0 else total
+
+
+def element_by_element_sum(coeffs, geometry, z):
+    """sum_i coeffs[i] * exp(j (i % n_cols) arg z), added element by element in
+    index order as reference_field adds its elements: farfield._array_sum's
+    result (column sums, then Horner's rule) summed in another float order."""
+    angle = np.angle(z)
+    total = 0j
+    for i, coefficient in enumerate(coeffs):
+        total += coefficient * np.exp(1j * (i % geometry.n_cols) * angle)
+    return total
 
 
 def sample_levels(s: SwitchSchedule, t):
