@@ -15,8 +15,12 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 
+# Float rounding noise, relative: a value within this share of the scale that
+# bounds it is zero, or the same value summed in another order.
+ROUNDING_REL = 1e-12
+# How far past the passive bound |gamma| <= 1 a state may read: a lossless state
+# written to 10 significant digits reads up to a few 1e-11 above 1.
 PASSIVITY_EPS = 1e-9
-_DEGENERATE_DENOM_OHM = 1e-12
 
 TABLE_COLUMNS = ("freq_hz", "za_re", "za_im", "zl1_re", "zl1_im", "zl2_re", "zl2_im")
 
@@ -43,7 +47,8 @@ def _check_finite(z, name):
 def reflection_coefficient(z_load: complex, z_antenna: complex) -> complex:
     """Reflection coefficient (Z_L - Z_a*) / (Z_L + Z_a) of a loaded antenna.
 
-    Both impedances in ohms; the antenna must be passive (Re(Z_a) > 0).
+    Both impedances in ohms; the antenna must be passive (Re(Z_a) > 0).  The
+    sum Z_L + Z_a is degenerate when it is at most ROUNDING_REL of |Z_L| + |Z_a|.
     """
     z_load = _check_finite(z_load, "z_load")
     z_antenna = _check_finite(z_antenna, "z_antenna")
@@ -52,9 +57,10 @@ def reflection_coefficient(z_load: complex, z_antenna: complex) -> complex:
             f"antenna must be passive: Re(z_antenna) > 0, got {z_antenna.real}"
         )
     den = z_load + z_antenna
-    if abs(den) < _DEGENERATE_DENOM_OHM:
+    if abs(den) <= ROUNDING_REL * (abs(z_load) + abs(z_antenna)):
         raise SingularInputError(
             f"|z_load + z_antenna| = {abs(den):.3e} ohm is degenerate"
+            " (rounding noise of |z_load| + |z_antenna|)"
         )
     return (z_load - z_antenna.conjugate()) / den
 
@@ -81,6 +87,12 @@ class ReflectionPair:
             reflection_coefficient(z_load_on, z_antenna),
             reflection_coefficient(z_load_off, z_antenna),
         )
+
+
+def _pair_scale(pair: ReflectionPair) -> float:
+    """max(|gamma_on|, |gamma_off|), the scale the rounding rules on a pair are
+    relative to: it bounds |gamma(t)|, and so |c_m| for every order."""
+    return max(abs(pair.gamma_on), abs(pair.gamma_off))
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,10 @@ import warnings
 
 PHASE_BAND_CENTER_DEG = 180.0
 PHASE_BAND_HALF_WIDTH_DEG = 12.0
+# The largest --max-harmonic: coeffs prints one row per order, 2N + 1 rows (about
+# 3 MB of doc at the bound), and |c_m| <= |gamma_on - gamma_off| / (pi m) is below
+# 4e-5 of the state difference there.
+MAX_HARMONIC = 10_000
 
 # Every config key: dotted name (section.key) -> (type, default).  Defaults
 # are the reference operating point of the 1x4 demonstrator (2.45 GHz
@@ -276,8 +280,8 @@ def cmd_gamma(args, cfg):
                 "phase_band_status": "PASS" if in_band else "FAIL",
             }
         )
-    if doc["differential_magnitude"] < 1e-9:
-        doc["warning"] = "no modulation contrast (identical reflection states)"
+    if doc["differential_magnitude"] <= circuit.ROUNDING_REL * circuit._pair_scale(pair):
+        doc["warning"] = "no modulation contrast (the states differ by rounding noise only)"
         warnings.warn("no modulation contrast")
     return doc, _lines(f"{k}={v}" for k, v in doc.items())
 
@@ -285,8 +289,10 @@ def cmd_gamma(args, cfg):
 def cmd_coeffs(args, cfg):
     from . import modulation
 
-    if args.max_harmonic < 0:
-        raise ConfigError(f"--max-harmonic must be >= 0, got {args.max_harmonic}")
+    if not 0 <= args.max_harmonic <= MAX_HARMONIC:
+        raise ConfigError(
+            f"--max-harmonic must be in 0..{MAX_HARMONIC} (MAX_HARMONIC), got {args.max_harmonic}"
+        )
     psi = 0.0 if args.phase is None else args.phase
     if not math.isfinite(psi):
         raise ConfigError(f"--phase must be finite, got {psi}")
@@ -320,9 +326,11 @@ def cmd_pattern(args, cfg):
     profile = _parse_profile_arg(args)
     step = args.grid_step
     farfield.steps_per_turn(step, "--grid-step")
-    pattern = farfield.pattern_sweep(
-        geometry, model, profile, waveform, args.harmonic, step, normalization=args.normalization
-    )
+    source = "--profile" if args.profile is not None else "--table2-row"
+    with _naming(source, "geometry.n_cols", "geometry.m_rows"):
+        pattern = farfield.pattern_sweep(
+            geometry, model, profile, waveform, args.harmonic, step, normalization=args.normalization
+        )
     meta = {
         "config_hash": cfg.hash,
         "geometry": f"{geometry.n_cols}x{geometry.m_rows}",

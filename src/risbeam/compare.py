@@ -15,11 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from .farfield import (
+    MAX_STEPS_PER_TURN,
     ArrayGeometry,
     ElementPatternModel,
     HarmonicPattern,
     _csv_rows,
     _field_magnitude,
+    _same_angle,
     dominance_direction,
     steps_per_turn,
 )
@@ -77,8 +79,14 @@ class MeasuredSweep:
         self.p_plus1_dbm = np.asarray(self.p_plus1_dbm, dtype=float)[order]
         self.p_minus1_dbm = np.asarray(self.p_minus1_dbm, dtype=float)[order]
         steps = np.diff(self.azimuth_deg)
-        if steps.size and np.any(np.abs(steps - steps[0]) > 1e-9):
-            raise SweepFormatError("azimuth grid step is not uniform")
+        if steps.size:
+            finest = 360.0 / MAX_STEPS_PER_TURN
+            if not np.all(_same_angle(steps, steps[0])):
+                raise SweepFormatError("azimuth grid step is not uniform")
+            if steps[0] < finest and not _same_angle(steps[0], finest):
+                raise SweepFormatError(
+                    f"azimuth_deg: grid step {steps[0]:.10g} deg is finer than {finest:g} deg"
+                )
 
     @property
     def grid_step_deg(self) -> float:
@@ -247,11 +255,15 @@ def _circular_distance_deg(a: float, b: float) -> float:
 
 def dominance_match(predicted, measured, grid_step_deg: float) -> bool:
     """Every predicted dominance angle sits strictly within one grid step of
-    some measured dominance angle, so a full-step deviation is flagged.  The
-    bound is relative: adjacent grid angles differ by one step only up to rounding."""
-    limit = grid_step_deg * (1.0 - 1e-9)
+    some measured dominance angle, so a full-step deviation is flagged.  A
+    distance that is one step up to rounding (_same_angle) is a full step:
+    adjacent grid angles differ by one step only up to rounding."""
+
+    def within_a_step(d):
+        return d < grid_step_deg and not _same_angle(d, grid_step_deg)
+
     return all(
-        any(_circular_distance_deg(p, m) < limit for m in measured) for p in predicted
+        any(within_a_step(_circular_distance_deg(p, m)) for m in measured) for p in predicted
     )
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
+from .circuit import ROUNDING_REL, _pair_scale
 from .modulation import ModulationWaveform, fourier_coefficient
 
 # numpy is imported inside the functions that build arrays, so importing this
@@ -19,19 +20,31 @@ from .modulation import ModulationWaveform, fourier_coefficient
 
 SPEED_OF_LIGHT = 299_792_458.0
 
+# Grid angles whose magnitude is within this share of the pattern peak all
+# dominate: a model of the ties the measurements record, not of rounding.
 DOMINANCE_TIE_REL = 1e-6
 
-# Float rounding noise, relative: a magnitude within this share of its bound, or
-# a gain within this share, is the same value summed in another order.
-ROUNDING_REL = 1e-12
+# Angle rounding, relative to a turn: angles within 3.6e-7 deg are one grid
+# angle.  That covers an azimuth read back from its %.10g text, which is off by
+# at most 5e-8 deg below 360 deg.
+ANGLE_REL = 1e-9
+
+# The finest step a grid or a phase resolution may take: 0.001 deg.
+MAX_STEPS_PER_TURN = 360_000
+
+# The most elements a geometry may have: a profile holds one Python float per
+# element, and the field kernel a few complex arrays of that length.
+MAX_ELEMENTS = 1_000_000
 
 
 class UndefinedDominanceError(ValueError):
     """Dominance direction of an all-zero pattern is undefined."""
 
 
-# The finest step a grid or a phase resolution may take: 0.001 deg.
-MAX_STEPS_PER_TURN = 360_000
+def _same_angle(a_deg, b_deg):
+    """Whether two angles, or arrays of them, are one grid angle: they differ by
+    at most ANGLE_REL of a turn."""
+    return abs(a_deg - b_deg) <= ANGLE_REL * 360.0
 
 
 def steps_per_turn(step_deg: float, name: str = "grid step") -> int:
@@ -44,9 +57,10 @@ def steps_per_turn(step_deg: float, name: str = "grid step") -> int:
         raise ValueError(
             f"{name} {step_deg} deg is finer than {360.0 / MAX_STEPS_PER_TURN:g} deg"
         )
-    if not (n >= 1.0 and abs(n - round(n)) <= 1e-9):
+    steps = round(n)
+    if not (steps >= 1 and _same_angle(steps * step_deg, 360.0)):
         raise ValueError(f"{name} {step_deg} deg does not divide 360")
-    return round(n)
+    return steps
 
 
 @dataclass(frozen=True)
@@ -61,6 +75,11 @@ class ArrayGeometry:
     def __post_init__(self):
         if self.n_cols < 1 or self.m_rows < 1:
             raise ValueError("element counts must be >= 1")
+        if self.n_cols * self.m_rows > MAX_ELEMENTS:
+            raise ValueError(
+                f"n_cols * m_rows = {self.n_cols * self.m_rows} elements is more than"
+                f" MAX_ELEMENTS = {MAX_ELEMENTS}"
+            )
         if not (0.0 < self.dx < math.inf and 0.0 < self.lambda_c < math.inf):
             raise ValueError(
                 f"dx and lambda_c must be positive and finite, got {self.dx}, {self.lambda_c}"
@@ -213,15 +232,14 @@ class HarmonicPattern:
 def _field_magnitude(geometry, model, profile, waveform, m, azimuth_deg, normalization):
     """|F_m|, raw or peak-normalized; exact zeros when the peak is rounding noise.
 
-    |F_m| <= element_count * max(|gamma_on|, |gamma_off|) because |c_m| <= max |gamma(t)|
-    and the element gain is <= 1; the noise floor is ROUNDING_REL of that bound.
+    |F_m| <= element_count * _pair_scale(pair) because |c_m| <= max |gamma(t)| and
+    the element gain is <= 1; the noise floor is ROUNDING_REL of that bound.
     """
     import numpy as np
 
     mags = np.abs(harmonic_field(geometry, model, profile, waveform, m, azimuth_deg))
     peak = mags.max()
-    pair = waveform.pair
-    if peak <= ROUNDING_REL * geometry.element_count * max(abs(pair.gamma_on), abs(pair.gamma_off)):
+    if peak <= ROUNDING_REL * geometry.element_count * _pair_scale(waveform.pair):
         return np.zeros_like(mags)
     return mags / peak if normalization == "peak_normalized" else mags
 
@@ -248,7 +266,7 @@ def pattern_sweep(
 
 
 def dominance_direction(pattern: HarmonicPattern) -> list[float]:
-    """Grid angles attaining the maximum magnitude (relative tie tol 1e-6)."""
+    """Grid angles attaining the maximum magnitude, within DOMINANCE_TIE_REL of it."""
     peak = float(pattern.magnitude.max())
     if not peak > 0.0:
         raise UndefinedDominanceError("all-zero pattern has no dominance direction")

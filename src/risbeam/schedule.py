@@ -16,6 +16,9 @@ import math
 from dataclasses import dataclass
 
 DEFAULT_TICKS_PER_PERIOD = 360
+# The largest tick table, ticks per period x channels: tick_table_text writes
+# two bytes per cell, so a table stays within 20 MB.
+MAX_TICK_CELLS = 10_000_000
 # Logic-high level of the controller outputs; schedule_doc reports it.
 AMPLITUDE_V = 3.3
 
@@ -43,6 +46,11 @@ class SwitchSchedule:
         if not self.channels:
             raise ValueError("a schedule needs at least one channel")
         n = self.ticks_per_period
+        if n * len(self.channels) > MAX_TICK_CELLS:
+            raise ValueError(
+                f"{n} ticks x {len(self.channels)} channels is more than"
+                f" MAX_TICK_CELLS = {MAX_TICK_CELLS} tick-table cells"
+            )
         for ch in self.channels:
             if len(ch) != 2 or not 0 <= ch[0] < n or ch[1] != (ch[0] + n // 2) % n:
                 raise ScheduleStructureError(

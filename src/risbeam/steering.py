@@ -14,9 +14,10 @@ import math
 import warnings
 from dataclasses import dataclass
 
+from .circuit import ROUNDING_REL, _pair_scale
 from .farfield import (
-    ROUNDING_REL, ArrayGeometry, ElementPatternModel,
-    _array_sum, _element_coefficients, _field_terms, steps_per_turn,
+    ArrayGeometry, ElementPatternModel,
+    _array_sum, _element_coefficients, _field_terms, _same_angle, steps_per_turn,
 )
 from .modulation import ModulationWaveform, fourier_coefficient
 
@@ -27,6 +28,8 @@ CONVENTION_TAG = "harmonic-coefficient-advance"
 FRONT_SECTOR = (50.0, 130.0)
 BACK_SECTOR = (230.0, 310.0)
 
+# The most passes one coordinate-ascent search makes before it returns its best
+# profile so far, flagged non-converged.
 MAX_PASSES = 64
 
 
@@ -49,8 +52,7 @@ class PhaseProfile:
         for p in phases:
             if not (0.0 <= p < 360.0):
                 raise ValueError(f"phase {p} outside [0, 360)")
-            ratio = p / self.resolution_deg
-            if abs(ratio - round(ratio)) > 1e-9:
+            if not _same_angle(p, round(p / self.resolution_deg) * self.resolution_deg):
                 raise ValueError(
                     f"phase {p} is not a multiple of resolution {self.resolution_deg}"
                 )
@@ -116,10 +118,9 @@ def progressive_phase_profile(req: SteeringRequest) -> PhaseProfile:
 
 
 def require_power(waveform: ModulationWaveform, m: int):
-    """Refuse an order whose |c_m| is at most ROUNDING_REL * max(|gamma_on|, |gamma_off|),
+    """Refuse an order whose |c_m| is at most ROUNDING_REL * _pair_scale(pair),
     rounding noise by the zero-pattern rule (an even order at exactly 50% duty)."""
-    floor = ROUNDING_REL * max(abs(waveform.pair.gamma_on), abs(waveform.pair.gamma_off))
-    if abs(fourier_coefficient(waveform, m)) <= floor:
+    if abs(fourier_coefficient(waveform, m)) <= ROUNDING_REL * _pair_scale(waveform.pair):
         raise ValueError(f"harmonic {m} carries no power at duty {waveform.duty:.12g}")
 
 

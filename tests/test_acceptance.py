@@ -72,17 +72,24 @@ def test_criterion_2_reference_beam_patterns():
     _report(2, "profile [0,270,180,90]: +1 -> {60,300}, -1 -> {120,240}; in-phase -> {90,270}")
 
 
-def test_criterion_3_dominance_agreement_with_measurements():
+def _dominance_against_table2(m, measured_of):
+    """Rows whose order-m dominance on a 10-degree grid matches one measured
+    column of Table 2, and (desired, predicted, measured) of each other row."""
     matches, flagged = [], []
     for case in steering_catalog():
         predicted = dominance_direction(
-            pattern_sweep(GEO, ISO, case.psi_deg, IDEAL, 1, 10.0)
+            pattern_sweep(GEO, ISO, case.psi_deg, IDEAL, m, 10.0)
         )
-        measured = [a for pair in case.measured_plus for a in pair]
+        measured = [a for pair in measured_of(case) for a in pair]
         if dominance_match(predicted, measured, 10.0):
             matches.append(case.desired_plus)
         else:
             flagged.append((case.desired_plus, tuple(predicted), tuple(measured)))
+    return matches, flagged
+
+
+def test_criterion_3_dominance_agreement_with_measurements():
+    matches, flagged = _dominance_against_table2(1, lambda case: case.measured_plus)
     assert len(matches) == 7, f"expected 7 matches, got {len(matches)}"
     assert sorted(f[0] for f in flagged) == [(120, 240), (130, 230)]
     for desired, predicted, measured in flagged:
@@ -92,6 +99,18 @@ def test_criterion_3_dominance_agreement_with_measurements():
             for p, m in zip(sorted(predicted), sorted(measured))
         )
     _report(3, f"7/9 dominance matches; flagged 10-degree deviations at {[f[0] for f in flagged]}")
+
+
+def test_criterion_3_minus_one_column_against_measurements():
+    # the -1 column misses where the +1 column does: beams predicted at 120 or
+    # 130 degrees were measured one 10-degree step further from broadside
+    matches, flagged = _dominance_against_table2(-1, lambda case: case.measured_minus)
+    assert len(matches) == 7, f"expected 7 matches, got {len(matches)}"
+    assert flagged == [
+        ((50, 310), (130.0, 230.0), (140, 220)),
+        ((60, 300), (120.0, 240.0), (130, 230)),
+    ]
+    _report(3, f"-1 column: 7/9 dominance matches; flagged at {[f[0] for f in flagged]}")
 
 
 def test_criterion_4_closed_form_vs_quadrature():

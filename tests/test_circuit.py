@@ -51,6 +51,14 @@ def test_degenerate_denominator_rejected():
         reflection_coefficient(-46.85 + 0.8j, Z_ANTENNA)
 
 
+def test_degenerate_rule_is_relative_to_the_impedances():
+    # two tiny matched impedances reflect nothing; their sum is not rounding noise
+    assert reflection_coefficient(1e-13, 1e-13) == 0
+    # a sum that cancels to rounding noise of the impedances is still refused
+    with pytest.raises(SingularInputError):
+        reflection_coefficient(-46.85 + 1e-14 + 0.8j, Z_ANTENNA)
+
+
 def test_active_antenna_rejected():
     with pytest.raises(ValueError):
         reflection_coefficient(50.0, -1.0 + 0j)

@@ -62,6 +62,17 @@ def test_gamma_no_contrast_warns(capsys, tmp_path):
     assert json.loads(out)["differential_magnitude"] == pytest.approx(0.0)
 
 
+def test_gamma_tiny_opposite_states_have_contrast(capsys, tmp_path):
+    # the contrast rule is relative to the pair's scale, like the power rule that
+    # lets steer --method search steer this pair
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"waveform": {"gamma_on": [1e-10, 0], "gamma_off": [-1e-10, 0]}}))
+    code, out, err = run(capsys, "gamma", "--config", str(cfg), "--format", "doc")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert "warning" not in doc and doc["phase_separation_deg"] == 180.0
+
+
 def test_gamma_malformed_table_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("not,a,real,header\n1,2,3,4\n")
@@ -418,6 +429,26 @@ def test_bad_flag_exits_2_naming_the_flag(capsys, argv, flag):
     err = capsys.readouterr().err
     assert code == 2
     assert flag in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["--profile", "0,90,180,270,0"], {}, "--profile / geometry.n_cols / geometry.m_rows: "
+         "profile has 5 phases for 4 elements"),
+        (["--table2-row", "2"], {"geometry": {"n_cols": 3, "m_rows": 2}}, "--table2-row / "
+         "geometry.n_cols / geometry.m_rows: profile has 4 phases for 6 elements"),
+    ],
+    ids=["profile", "table2-row"],
+)
+def test_profile_of_another_length_exits_2_naming_its_flag_and_the_geometry(
+    capsys, tmp_path, argv, config, message
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, "pattern", "--config", str(cfg), *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("phase", ["nan", "inf", "-inf"])

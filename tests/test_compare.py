@@ -148,6 +148,25 @@ def test_duplicate_and_nonuniform_grids_rejected():
         MeasuredSweep(np.array([0.0, 10.0, 25.0]), np.zeros(3), np.zeros(3), {})
 
 
+@pytest.mark.parametrize("step", [360 / 7, 360 / 11], ids=["360/7", "360/11"])
+def test_sweep_text_round_trip_holds_for_a_step_that_prints_rounded(step):
+    # %.10g moves each azimuth by up to 5e-8 deg, so the steps read back differ
+    # by about 1e-7 deg; they are still one uniform step
+    sweep = synthesize_measured_sweep(GEO, ISO, IDEAL, [0, 270, 180, 90], grid_step_deg=step)
+    text = format_measured_sweep(sweep)
+    back = parse_measured_sweep(text)
+    assert back.azimuth_deg.tolist() == [float(f"{a:.10g}") for a in sweep.azimuth_deg]
+    assert format_measured_sweep(back) == text
+    assert compare_sweep(back, GEO, ISO, IDEAL, [0, 270, 180, 90]).matches == 2
+
+
+def test_grid_step_finer_than_the_finest_grid_is_refused():
+    cells = np.full(3, -40.0)
+    MeasuredSweep(100.0 + np.arange(3) * 0.001, cells, cells, {})
+    with pytest.raises(SweepFormatError, match="^azimuth_deg: grid step 0.0001 deg is finer"):
+        MeasuredSweep(100.0 + np.arange(3) * 1e-4, cells, cells, {})
+
+
 def test_metadata_lines_parsed():
     text = "#f_c_hz=2.45e9\n#distance_m=1.75\n#tx_power_dbm=10\n"
     text += "azimuth_deg,p_plus1_dbm,p_minus1_dbm\n0,-40,-42\n10,-38,-41\n"

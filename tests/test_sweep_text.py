@@ -68,8 +68,9 @@ finite = st.one_of(
 cells = st.one_of(finite, st.sampled_from([math.nan, math.inf, -math.inf]))
 words = st.text("abcxyz_019.", min_size=1, max_size=6)
 metadata = st.dictionaries(words, st.one_of(words, st.integers()), max_size=3)
-# steps whose multiples print exactly at 10 significant digits
-STEPS = [0.1, 0.25, 0.5, 1.0, 2.5, 10.0, 45.0]
+# steps whose multiples print exactly at 10 significant digits, and steps whose
+# multiples %.10g rounds (by up to 5e-8 deg below 360)
+STEPS = [0.1, 0.25, 0.5, 1.0, 2.5, 10.0, 45.0, 360 / 7, 360 / 11, 360 / 13, 0.7, 1 / 3]
 
 
 @st.composite
