@@ -203,12 +203,14 @@ class ImpedanceTable:
 
 
 def parse_impedance_table(text: str) -> ImpedanceTable:
-    """Parse delimited text with header freq_hz,za_re,za_im,zl1_re,zl1_im,zl2_re,zl2_im."""
+    """Parse delimited text with header freq_hz,za_re,za_im,zl1_re,zl1_im,zl2_re,zl2_im.
+
+    Blank lines are skipped; an error names the line of the text it is on."""
     reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    rows = [(reader.line_num, row) for row in reader if any(cell.strip() for cell in row)]
     if not rows:
         raise TableFormatError("empty impedance table input")
-    header = tuple(cell.strip().lower() for cell in rows[0])
+    header = tuple(cell.strip().lower() for cell in rows[0][1])
     if header != TABLE_COLUMNS:
         raise TableFormatError(
             f"expected header {','.join(TABLE_COLUMNS)}, got {','.join(header)}"
@@ -216,21 +218,21 @@ def parse_impedance_table(text: str) -> ImpedanceTable:
     if len(rows) == 1:
         raise TableFormatError("impedance table has a header but no data rows")
     points = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if len(row) != len(TABLE_COLUMNS):
             raise TableFormatError(f"line {lineno}: expected {len(TABLE_COLUMNS)} columns")
         try:
             vals = [float(cell) for cell in row]
+            points.append(
+                ImpedancePoint(
+                    frequency=vals[0],
+                    z_antenna=complex(vals[1], vals[2]),
+                    z_load_on=complex(vals[3], vals[4]),
+                    z_load_off=complex(vals[5], vals[6]),
+                )
+            )
         except ValueError as exc:
             raise TableFormatError(f"line {lineno}: {exc}") from exc
-        points.append(
-            ImpedancePoint(
-                frequency=vals[0],
-                z_antenna=complex(vals[1], vals[2]),
-                z_load_on=complex(vals[3], vals[4]),
-                z_load_off=complex(vals[5], vals[6]),
-            )
-        )
     return ImpedanceTable(points)
 
 

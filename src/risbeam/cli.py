@@ -179,7 +179,8 @@ def resolve_pair(cfg: Config) -> tuple[float, circuit.ReflectionPair]:
         raise ConfigError(f"the reflection pair has more than one source: {' and '.join(given)}")
     frequency = _carrier_hz(cfg)
     if "waveform.gamma_on" in cfg or "waveform.gamma_off" in cfg:
-        pair = circuit.ReflectionPair(cfg["waveform.gamma_on"], cfg["waveform.gamma_off"])
+        with _naming(*_PAIR_SOURCES[0]):
+            pair = circuit.ReflectionPair(cfg["waveform.gamma_on"], cfg["waveform.gamma_off"])
         return frequency, pair
     if "waveform.impedance_table" in cfg:
         if "geometry.f_c_hz" not in cfg:
@@ -188,14 +189,16 @@ def resolve_pair(cfg: Config) -> tuple[float, circuit.ReflectionPair]:
             table = circuit.load_impedance_table(cfg["waveform.impedance_table"])
         with _naming("geometry.f_c_hz"):
             point = table.lookup(frequency)
-    else:
+        with _naming("waveform.impedance_table"):
+            return frequency, point.reflection_pair()
+    with _naming(*_PAIR_SOURCES[2]):
         point = circuit.ImpedancePoint(
             frequency=frequency,
             z_antenna=cfg["waveform.z_antenna"],
             z_load_on=cfg["waveform.z_load_on"],
             z_load_off=cfg["waveform.z_load_off"],
         )
-    return frequency, point.reflection_pair()
+        return frequency, point.reflection_pair()
 
 
 def build_waveform(cfg: Config) -> modulation.ModulationWaveform:
@@ -227,11 +230,11 @@ def _parse_profile_arg(args) -> steering.PhaseProfile:
         catalog = steering.steering_catalog()
         if not 1 <= args.table2_row <= len(catalog):
             raise ConfigError(f"--table2-row must be in 1..{len(catalog)}")
-        with _naming("--resolution"):
-            return steering.PhaseProfile(catalog[args.table2_row - 1].psi_deg, args.resolution)
-    if args.profile is None:
+        phases = catalog[args.table2_row - 1].psi_deg
+    elif args.profile is None:
         raise ConfigError("a profile is required (--profile or --table2-row)")
-    phases = _read_phases(args.profile, "--profile")
+    else:
+        phases = _read_phases(args.profile, "--profile")
     with _naming("--resolution"):
         return steering.quantize_profile(phases, args.resolution)
 
@@ -240,8 +243,8 @@ def _lines(rows) -> str:
     return "\n".join(rows) + "\n"
 
 
-# Each cmd_* returns (doc, text): the structured document and the csv/text
-# form of the same result; main writes the one --format selects.
+# Each cmd_* builds only the output --format selects: a dict for doc, which
+# main writes as JSON, or the csv/text str, which main writes as it is.
 
 
 def cmd_gamma(args, cfg):
@@ -283,7 +286,7 @@ def cmd_gamma(args, cfg):
     if doc["differential_magnitude"] <= circuit.ROUNDING_REL * circuit._pair_scale(pair):
         doc["warning"] = "no modulation contrast (the states differ by rounding noise only)"
         warnings.warn("no modulation contrast")
-    return doc, _lines(f"{k}={v}" for k, v in doc.items())
+    return doc if args.format == "doc" else _lines(f"{k}={v}" for k, v in doc.items())
 
 
 def cmd_coeffs(args, cfg):
@@ -304,17 +307,18 @@ def cmd_coeffs(args, cfg):
     for m in range(-args.max_harmonic, args.max_harmonic + 1):
         c = modulation.fourier_coefficient(waveform, m) * cmath.exp(1j * m * psi)
         rows.append((m, c))
-    doc = {
-        "config_hash": cfg.hash,
-        "f0_hz": waveform.f0,
-        "duty": waveform.duty,
-        "coefficients": [
-            {"m": m, "re": c.real, "im": c.imag, "magnitude": abs(c)} for m, c in rows
-        ],
-    }
+    if args.format == "doc":
+        return {
+            "config_hash": cfg.hash,
+            "f0_hz": waveform.f0,
+            "duty": waveform.duty,
+            "coefficients": [
+                {"m": m, "re": c.real, "im": c.imag, "magnitude": abs(c)} for m, c in rows
+            ],
+        }
     lines = [f"#config_hash={cfg.hash}", "m,re,im,magnitude"]
     lines += [f"{m},{c.real:.12g},{c.imag:.12g},{abs(c):.12g}" for m, c in rows]
-    return doc, _lines(lines)
+    return _lines(lines)
 
 
 def cmd_pattern(args, cfg):
@@ -343,7 +347,9 @@ def cmd_pattern(args, cfg):
     if not pattern.magnitude.any():
         meta["zero_pattern"] = "true (harmonic carries no power for this waveform)"
         warnings.warn(f"harmonic {args.harmonic} pattern is identically zero")
-    return farfield.pattern_doc(pattern, meta), farfield.pattern_csv(pattern, meta)
+    if args.format == "doc":
+        return farfield.pattern_doc(pattern, meta)
+    return farfield.pattern_csv(pattern, meta)
 
 
 def cmd_steer(args, cfg):
@@ -372,7 +378,7 @@ def cmd_steer(args, cfg):
     doc["config_hash"] = cfg.hash
     doc["method"] = args.method
     doc.update(extra)
-    return doc, None
+    return doc
 
 
 def cmd_schedule(args, cfg):
@@ -386,12 +392,14 @@ def cmd_schedule(args, cfg):
     ticks = schedule.DEFAULT_TICKS_PER_PERIOD if args.ticks is None else args.ticks
     with _naming("waveform.f0_hz", "--ticks"):
         sched = schedule.build_switch_schedule(profile, cfg["waveform.f0_hz"], ticks)
-    doc = schedule.schedule_doc(sched)
-    doc["config_hash"] = cfg.hash
-    return doc, schedule.tick_table_text(sched)
+    if args.format == "doc":
+        return {**schedule.schedule_doc(sched), "config_hash": cfg.hash}
+    return schedule.tick_table_text(sched)
 
 
 def cmd_compare(args, cfg):
+    from dataclasses import asdict
+
     from . import compare
 
     geometry = build_geometry(cfg)
@@ -406,50 +414,44 @@ def cmd_compare(args, cfg):
                     "missing '#psi_deg=...' metadata naming the profile"
                 )
             phases = _read_phases(sweep.metadata["psi_deg"], "#psi_deg")
-            report = compare.compare_sweep(sweep, geometry, model, waveform, phases)
-        doc = compare.report_doc(report)
-        doc["file"] = path
-        reports.append(doc)
-    total = sum(r["matches"] for r in reports)
-    possible = sum(len(r["harmonics"]) for r in reports)
-    summary = {
-        "config_hash": cfg.hash,
-        "files": reports,
-        "total_matches": total,
-        "total_comparisons": possible,
-    }
+            reports.append((path, compare.compare_sweep(sweep, geometry, model, waveform, phases)))
+    total = sum(report.matches for _, report in reports)
+    possible = sum(len(report.harmonics) for _, report in reports)
+    if args.format == "doc":
+        return {
+            "config_hash": cfg.hash,
+            "files": [
+                {**asdict(report), "matches": report.matches, "file": path}
+                for path, report in reports
+            ],
+            "total_matches": total,
+            "total_comparisons": possible,
+        }
     lines = [f"#config_hash={cfg.hash}", "file,harmonic,measured,predicted,match,nrms_front"]
-    for r in reports:
-        for h in r["harmonics"]:
+    for path, report in reports:
+        for h in report.harmonics:
             lines.append(
                 "{},{:+d},{},{},{},{:.6g}".format(
-                    r["file"],
-                    h["harmonic"],
-                    "/".join(f"{a:g}" for a in h["measured_dominance"]),
-                    "/".join(f"{a:g}" for a in h["predicted_dominance"]),
-                    "yes" if h["match"] else "NO",
-                    h["nrms_front"],
+                    path,
+                    h.harmonic,
+                    "/".join(f"{a:g}" for a in h.measured_dominance),
+                    "/".join(f"{a:g}" for a in h.predicted_dominance),
+                    "yes" if h.match else "NO",
+                    h.nrms_front,
                 )
             )
     lines.append(f"#matches={total}/{possible}")
-    return summary, _lines(lines)
+    return _lines(lines)
 
 
 def cmd_table2(args, cfg):
+    from dataclasses import asdict
+
     from . import steering
 
     catalog = steering.steering_catalog()
-    doc = {
-        "rows": [
-            {
-                "desired_plus": list(c.desired_plus),
-                "psi_deg": list(c.psi_deg),
-                "measured_plus": [list(p) for p in c.measured_plus],
-                "measured_minus": [list(p) for p in c.measured_minus],
-            }
-            for c in catalog
-        ]
-    }
+    if args.format == "doc":
+        return {"rows": [asdict(c) for c in catalog]}
     lines = ["desired_plus,psi_deg,measured_plus,measured_minus"]
     for c in catalog:
         lines.append(
@@ -460,7 +462,7 @@ def cmd_table2(args, cfg):
                 ";".join("/".join(map(str, p)) for p in c.measured_minus),
             )
         )
-    return doc, _lines(lines)
+    return _lines(lines)
 
 
 # Every flag; each subcommand in COMMANDS takes only the flags it reads.
@@ -564,14 +566,14 @@ def main(argv=None) -> int:
         warnings.simplefilter("always", UserWarning)
         warnings.showwarning = _print_warning
         try:
-            doc, text = args.func(args, load_config(getattr(args, "config", None)))
-            if getattr(args, "format", "doc") == "doc":
-                text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            out = args.func(args, load_config(getattr(args, "config", None)))
+            if isinstance(out, dict):
+                out = json.dumps(out, indent=2, sort_keys=True) + "\n"
             if args.out:
                 with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
+                    fh.write(out)
             else:
-                sys.stdout.write(text)
+                sys.stdout.write(out)
             return EXIT_OK
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -308,20 +308,3 @@ def compare_sweep(
     phases = tuple(float(p) for p in profile)
     return ComparisonReport(profile_psi_deg=phases, grid_step_deg=step, harmonics=tuple(entries))
 
-
-def report_doc(report: ComparisonReport) -> dict:
-    return {
-        "profile_psi_deg": list(report.profile_psi_deg),
-        "grid_step_deg": report.grid_step_deg,
-        "matches": report.matches,
-        "harmonics": [
-            {
-                "harmonic": h.harmonic,
-                "measured_dominance": list(h.measured_dominance),
-                "predicted_dominance": list(h.predicted_dominance),
-                "match": h.match,
-                "nrms_front": h.nrms_front,
-            }
-            for h in report.harmonics
-        ],
-    }

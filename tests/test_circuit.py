@@ -184,3 +184,20 @@ def test_impedance_point_validates():
         ImpedancePoint(-1.0, Z_ANTENNA, Z_LOAD_ON, Z_LOAD_OFF)
     with pytest.raises(ValueError):
         ImpedancePoint(2.45e9, -50.0 + 0j, Z_LOAD_ON, Z_LOAD_OFF)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("2.5e9,x,0,3,4,96,-508", "could not convert"),
+        ("2.5e9,46,0,3", "expected 7 columns"),
+        ("2.5e9,-5,0,3,4,96,-508", "antenna must be passive"),
+        ("2.5e9,nan,0,3,4,96,-508", "z_antenna must have finite"),
+        ("0,46,0,3,4,96,-508", "frequency must be positive"),
+    ],
+)
+def test_table_error_names_the_line_it_is_on(row, message):
+    # the bad row is on line 5, after two blank lines
+    text = TABLE_SINGLE.replace("2.45e9", "2.4e9") + "\n \n" + row + "\n"
+    with pytest.raises(TableFormatError, match=f"^line 5: .*{message}"):
+        parse_impedance_table(text)

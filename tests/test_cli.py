@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import math
@@ -13,6 +14,7 @@ from risbeam.cli import main
 from risbeam.compare import format_measured_sweep, synthesize_measured_sweep
 from risbeam.farfield import ArrayGeometry, ElementPatternModel, harmonic_field
 from risbeam.modulation import ModulationWaveform
+from risbeam.schedule import MAX_TICK_CELLS
 
 GEO = ArrayGeometry.half_wavelength_linear(4)
 ISO = ElementPatternModel.isotropic()
@@ -83,6 +85,34 @@ def test_gamma_malformed_table_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "gamma", "--config", str(cfg))
     assert code == 2
     assert "error" in err
+
+
+IMPEDANCE_KEYS = "waveform.z_antenna / waveform.z_load_on / waveform.z_load_off"
+
+
+@pytest.mark.parametrize(
+    "waveform, keys",
+    [
+        ({"z_antenna": [50, 0], "z_load_on": [-50, 0]}, IMPEDANCE_KEYS),  # degenerate sum
+        ({"z_load_on": [-20, 0]}, IMPEDANCE_KEYS),  # |gamma_on| = 2.33
+        ({"z_antenna": [-5, 0]}, IMPEDANCE_KEYS),  # active antenna
+        ({"z_load_off": [1e308, 1e308]}, IMPEDANCE_KEYS),  # gamma_off overflows to nan
+        ({"impedance_table": "table.csv"}, "waveform.impedance_table"),
+        ({"gamma_on": [2, 0]}, "waveform.gamma_on / waveform.gamma_off"),
+    ],
+    ids=["degenerate", "active-load", "active-antenna", "overflow", "table", "explicit"],
+)
+def test_refused_pair_names_its_source_keys(capsys, tmp_path, monkeypatch, waveform, keys):
+    monkeypatch.chdir(tmp_path)
+    # a table row whose on-state load cancels the antenna: a degenerate sum
+    Path("table.csv").write_text(
+        "freq_hz,za_re,za_im,zl1_re,zl1_im,zl2_re,zl2_im\n2.45e9,50,0,-50,0,96,-508\n"
+    )
+    Path("cfg.json").write_text(json.dumps({"geometry": {"f_c_hz": 2.45e9}, "waveform": waveform}))
+    code, out, err = run(capsys, "gamma", "--config", "cfg.json")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {keys}: "), err
+    assert "Traceback" not in err
 
 
 def test_impedance_table_is_looked_up_at_the_geometry_carrier(capsys, tmp_path, monkeypatch):
@@ -278,6 +308,36 @@ def test_planar_steer_then_pattern_has_the_linear_dominance(capsys, tmp_path):
             assert code == 0
             peaks.append(argmax_angles(out))
         assert peaks[0] == peaks[1]
+
+
+@pytest.mark.parametrize("command", ["schedule", "pattern"])
+@pytest.mark.parametrize("resolution", ["5", "0.1"])
+def test_table2_row_is_quantized_like_its_profile(capsys, command, resolution):
+    # row 1 is (0, 244, 129, 13); at 5 deg it rounds half-up to (0, 245, 130, 15)
+    _, row, err = run(capsys, command, "--table2-row", "1", "--resolution", resolution)
+    _, profile, _ = run(capsys, command, "--profile", "0,244,129,13", "--resolution", resolution)
+    assert row and err == ""
+    assert row == profile
+
+
+@pytest.mark.parametrize(
+    "argv, module, unused",
+    [
+        (["schedule", "--table2-row", "1", "--ticks", str(MAX_TICK_CELLS // 4), "--format", "doc"],
+         "schedule", "tick_table_text"),
+        (["schedule", "--table2-row", "1", "--format", "csv"], "schedule", "schedule_doc"),
+        (["pattern", "--table2-row", "1", "--format", "doc"], "farfield", "pattern_csv"),
+        (["pattern", "--table2-row", "1", "--format", "csv"], "farfield", "pattern_doc"),
+    ],
+)
+def test_each_subcommand_builds_only_the_format_it_prints(capsys, monkeypatch, argv, module, unused):
+    def refuse(*_):
+        raise AssertionError(f"{unused} built for {' '.join(argv)}")
+
+    monkeypatch.setattr(importlib.import_module(f"risbeam.{module}"), unused, refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out
 
 
 def test_table2_lists_nine_rows(capsys):

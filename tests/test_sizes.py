@@ -87,7 +87,9 @@ def test_element_count_at_its_bound_steers(tmp_path):
 
 
 def test_tick_table_at_its_bound_is_built(tmp_path):
-    argv = ["schedule", "--table2-row", "1", "--ticks", str(TICKS_AT_BOUND), "--format", "doc"]
+    # --format doc builds no table, so only csv reaches the bound
+    argv = ["schedule", "--table2-row", "1", "--ticks", str(TICKS_AT_BOUND), "--format", "csv"]
     proc = cli(tmp_path, argv)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert json.loads(proc.stdout)["ticks_per_period"] == TICKS_AT_BOUND
+    rows = proc.stdout.splitlines()
+    assert len(rows) == TICKS_AT_BOUND and len(rows[0].split()) == 4

@@ -31,10 +31,14 @@ sys.exit(code)
 
 NUMPY_FREE = {
     "gamma": ["gamma", "--config", "ref.json", "--format", "doc"],
+    "gamma csv": ["gamma", "--config", "ref.json"],
     "coeffs": ["coeffs", "--config", "ref.json", "--max-harmonic", "7", "--phase", "90"],
+    "coeffs doc": ["coeffs", "--config", "ref.json", "--format", "doc"],
     "steer": ["steer", "--config", "ref.json", "--target", "63.5", "--harmonic", "-1"],
     "schedule": ["schedule", "--config", "ref.json", "--table2-row", "3"],
+    "schedule doc": ["schedule", "--config", "ref.json", "--table2-row", "3", "--format", "doc"],
     "table2": ["table2"],
+    "table2 doc": ["table2", "--format", "doc"],
 }
 
 # The package namespace as it was when __init__ imported every module eagerly,
